@@ -617,9 +617,8 @@ let batch_bench () =
    tail — plus the pool's own hit/miss/drop counters. Carried from pr8:
    per-request amortized latency at k in {1,4,8}, the cost-model
    calibration table, the dropped_events count, the instrumentation-
-   overhead gate against BENCH_pr7, the slot-batching k-sweep, the
-   scheduler sweep with efficiency-per-core, lazy-pass rows, and the
-   key-switch tail gate. *)
+   overhead gate against BENCH_pr7, the slot-batching k-sweep, lazy-pass
+   rows, and the key-switch tail gate. *)
 let json_schema_version = 9
 
 let json_bench ?(path = "BENCH_pr9.json") () =
@@ -721,10 +720,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
     (seq, hoist)
   in
   let rot_seq_ns, rot_hoist_ns = rotate_pair_ns in
-  (* end-to-end: per-image inference on the quick models, then the
-     scheduler sweep on the same resnet20 image (determinism means every
-     configuration produces identical ciphertexts; only the wall clock may
-     differ — which the sweep verifies). *)
+  (* end-to-end: per-image inference on the quick models. *)
   (* Each model is measured in its own window: keygen first, then a
      metrics reset, then the timed inference — so the telemetry snapshot
      (and the key-switch tail gate) covers inference only; the keygen
@@ -957,135 +953,40 @@ let json_bench ?(path = "BENCH_pr9.json") () =
       (baseline /. List.assoc "resnet20" infer_rows)
       d default_domains
   | None -> print_endline "BENCH_pr4.json not found; skipping cross-PR comparison");
-  (* Scheduler sweep: resnet20, domains x {seq, wavefront}. One encrypted
-     input reused throughout; outputs are checked bit-identical across every
-     configuration (the run aborts loudly if the determinism contract ever
-     broke). Timing runs are untraced; utilization comes from separate
-     traced runs below. *)
-  let sweep_spec = Resnet.resnet20 in
-  let sweep_c = compiled Pipeline.ace sweep_spec in
-  let sweep_keys = Pipeline.make_keys sweep_c ~seed:77 in
-  let sweep_image =
+  (* One resnet20 input for the steady-state GC A/B below. *)
+  let gc_spec = Resnet.resnet20 in
+  let gc_c = compiled Pipeline.ace gc_spec in
+  let gc_keys = Pipeline.make_keys gc_c ~seed:77 in
+  let gc_image =
     let rng = Rng.create 1001 in
-    let dims = 3 * sweep_spec.Resnet.image_size * sweep_spec.Resnet.image_size in
+    let dims = 3 * gc_spec.Resnet.image_size * gc_spec.Resnet.image_size in
     Array.init dims (fun _ -> Rng.float rng 1.0)
   in
-  let sweep_ct = Pipeline.encrypt_input sweep_c sweep_keys ~seed:55 sweep_image in
-  let reference_out = ref None in
-  let sweep_run ~domains ~scheduler =
-    Domain_pool.set_num_domains domains;
-    let out, dt =
-      time (fun () -> Pipeline.run_encrypted ~scheduler sweep_c sweep_keys ~seed:55 sweep_ct)
-    in
-    (match !reference_out with
-    | None -> reference_out := Some out
-    | Some r ->
-      if not (Array.for_all2 Ace_rns.Rns_poly.equal r.Ace_fhe.Ciphertext.polys out.Ace_fhe.Ciphertext.polys)
-      then failwith "scheduler sweep: output not bit-identical to reference");
-    Printf.printf "sweep resnet20 domains=%d sched=%-9s %7.2fs\n%!" domains
-      (Pipeline.scheduler_name scheduler) dt;
-    dt
-  in
+  let gc_ct = Pipeline.encrypt_input gc_c gc_keys ~seed:55 gc_image in
   let host_cores = Domain.recommended_domain_count () in
-  let single_core = host_cores <= 1 in
-  if single_core then
-    prerr_endline
-      "bench: warning: scheduler sweep running on a 1-core host — multi-domain rows \
-       measure scheduling overhead, not parallel speedup (host_cores records this)";
-  (* Auto-sized to the detected cores: the powers of two up to
-     max(8, host_cores), plus host_cores itself when it is not one of
-     them — so real hardware always gets a row at its own width. *)
-  let sweep_domains =
-    List.sort_uniq compare
-      (List.filter (fun d -> d >= 1 && d <= 64) [ 1; 2; 4; 8; host_cores ])
-  in
-  let sweep_rows =
-    List.concat_map
-      (fun d ->
-        List.map
-          (fun s -> (d, s, sweep_run ~domains:d ~scheduler:s))
-          [ Pipeline.Seq; Pipeline.Wavefront ])
-      sweep_domains
-  in
-  let sweep_seconds ~domains ~scheduler =
-    let _, _, t =
-      List.find (fun (d, s, _) -> d = domains && s = scheduler) sweep_rows
-    in
-    t
-  in
-  (* Per-domain busy time: a traced wavefront run at 4 domains; busy(tid) =
-     sum of that worker's per-node "vm." span durations, utilization =
-     total busy / (domains * wall). On a single-core host utilization still
-     reports how evenly nodes spread over workers; wall-clock speedup
-     additionally needs the cores. *)
-  let busy_profile ~domains ~scheduler =
-    Domain_pool.set_num_domains domains;
-    Telemetry.reset_trace ();
-    Telemetry.set_tracing true;
-    ignore (Pipeline.run_encrypted ~scheduler sweep_c sweep_keys ~seed:55 sweep_ct);
-    Telemetry.set_tracing false;
-    let evs = Telemetry.events () in
-    let busy = Hashtbl.create 8 in
-    let t_min = ref infinity and t_max = ref neg_infinity in
-    List.iter
-      (fun e ->
-        let n = e.Telemetry.ev_name in
-        if String.length n >= 3 && String.sub n 0 3 = "vm." then begin
-          let cur = Option.value ~default:0.0 (Hashtbl.find_opt busy e.Telemetry.ev_tid) in
-          Hashtbl.replace busy e.Telemetry.ev_tid (cur +. (e.Telemetry.ev_dur_us /. 1e6));
-          t_min := min !t_min (e.Telemetry.ev_ts_us /. 1e6);
-          t_max := max !t_max ((e.Telemetry.ev_ts_us +. e.Telemetry.ev_dur_us) /. 1e6)
-        end)
-      evs;
-    Telemetry.reset_trace ();
-    let wall = if !t_max > !t_min then !t_max -. !t_min else 0.0 in
-    let per_tid =
-      List.sort compare (Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) busy [])
-    in
-    let total = List.fold_left (fun acc (_, b) -> acc +. b) 0.0 per_tid in
-    let util = if wall > 0.0 then total /. (float_of_int domains *. wall) else 0.0 in
-    Printf.printf "busy  resnet20 domains=%d sched=%-9s wall=%.2fs tids=%d util=%.2f\n%!"
-      domains (Pipeline.scheduler_name scheduler) wall (List.length per_tid) util;
-    (wall, per_tid, util)
-  in
-  let busy_json ~domains ~scheduler =
-    let wall, per_tid, util = busy_profile ~domains ~scheduler in
-    Printf.sprintf
-      "{\"domains\": %d, \"scheduler\": \"%s\", \"wall_seconds\": %.4f, \
-       \"per_tid_busy_seconds\": {%s}, \"utilization\": %.4f}"
-      domains
-      (Pipeline.scheduler_name scheduler)
-      wall
-      (String.concat ", "
-         (List.map (fun (tid, b) -> Printf.sprintf "\"%d\": %.4f" tid b) per_tid))
-      util
-  in
-  let busy_seq = busy_json ~domains:4 ~scheduler:Pipeline.Seq in
-  let busy_wf = busy_json ~domains:4 ~scheduler:Pipeline.Wavefront in
-  Domain_pool.set_num_domains default_domains;
   (* PR9 steady-state GC A/B: a resident runtime (cached weight
      plaintexts, persistent VM) re-running the same resnet20 inference is
      the serving steady state; with the slab pool on, every ciphertext
      buffer the run allocates should come back recycled. Gates: per-
      inference major-heap words pooled must be >= [gc_ratio_bound]x
      smaller than unpooled, outputs bit-identical, and the pooled fhe.add
-     tail (p999/p50) no worse than unpooled. Sequential at 1 domain — the
-     A/B isolates allocator behaviour, not scheduling. *)
+     tail (p999/p50) no worse than unpooled. At 1 domain — the A/B
+     isolates allocator behaviour, not parallelism. *)
   let gc_ratio_bound = 5.0 in
   let gc_reps = 3 in
   let gc_measure ~pooled =
     Ace_rns.Limb_pool.set_enabled pooled;
     Domain_pool.set_num_domains 1;
-    let rt = Pipeline.make_runtime ~scheduler:Pipeline.Seq sweep_c sweep_keys ~seed:55 in
+    let rt = Pipeline.make_runtime gc_c gc_keys ~seed:55 in
     (* Warm run: fills the plaintext cache, the pool, and the keygen
        memos, so the measured window is pure steady state. *)
-    let out = ref (Pipeline.run_encrypted_rt rt sweep_ct) in
+    let out = ref (Pipeline.run_encrypted_rt rt gc_ct) in
     Telemetry.reset_metrics ();
     Ace_rns.Limb_pool.reset_stats ();
     let g0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to gc_reps do
-      out := Pipeline.run_encrypted_rt rt sweep_ct
+      out := Pipeline.run_encrypted_rt rt gc_ct
     done;
     let dt = (Unix.gettimeofday () -. t0) /. float_of_int gc_reps in
     let g1 = Gc.quick_stat () in
@@ -1134,8 +1035,6 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   Buffer.add_string buf (Printf.sprintf "  \"domains_default\": %d,\n" default_domains);
   Buffer.add_string buf (Printf.sprintf "  \"domains_parallel\": %d,\n" par_domains);
   Buffer.add_string buf (Printf.sprintf "  \"host_cores\": %d,\n" host_cores);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sweep_single_core\": %b,\n" single_core);
   Buffer.add_string buf
     (Printf.sprintf "  \"compile_seconds\": {%s},\n"
        (obj (List.map (fun (m, t) -> Printf.sprintf "\"%s\": %.4f" m t) compile_rows)));
@@ -1189,7 +1088,7 @@ let json_bench ?(path = "BENCH_pr9.json") () =
     (Printf.sprintf "  \"dropped_events\": %d,\n" (Telemetry.dropped_events ()));
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"gc_steady_state\": {\"model\": \"resnet20\", \"scheduler\": \"seq\", \
+       "  \"gc_steady_state\": {\"model\": \"resnet20\", \
         \"reps\": %d, \"pooled\": {\"major_words_per_infer\": %.1f, \
         \"minor_words_per_infer\": %.1f, \"major_collections_per_infer\": %.3f, \
         \"seconds_per_infer\": %.4f, \"fhe_add_p999_over_p50\": %.3f}, \
@@ -1205,32 +1104,6 @@ let json_bench ?(path = "BENCH_pr9.json") () =
        pool_stats.Ace_rns.Limb_pool.slab_releases
        pool_stats.Ace_rns.Limb_pool.slab_dropped pool_stats.Ace_rns.Limb_pool.row_hits
        pool_stats.Ace_rns.Limb_pool.row_misses);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"scheduler_sweep\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun (d, s, t) ->
-               (* efficiency_per_core = t(1)/(d * t(d)) for the same
-                  scheduler: 1.0 is perfect scaling. On a 1-core host
-                  (sweep_single_core above) extra domains only add
-                  scheduling overhead, so the column honestly degrades. *)
-               let base = sweep_seconds ~domains:1 ~scheduler:s in
-               Printf.sprintf
-                 "{\"domains\": %d, \"scheduler\": \"%s\", \"seconds\": %.4f, \
-                  \"efficiency_per_core\": %.4f}"
-                 d (Pipeline.scheduler_name s) t
-                 (base /. (float_of_int d *. t)))
-             sweep_rows)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"busy\": [%s, %s],\n" busy_seq busy_wf);
-  (let seq1 = sweep_seconds ~domains:1 ~scheduler:Pipeline.Seq in
-   let wf4 = sweep_seconds ~domains:4 ~scheduler:Pipeline.Wavefront in
-   Buffer.add_string buf
-     (Printf.sprintf
-        "  \"scaling\": {\"model\": \"resnet20\", \"sequential_seconds\": %.4f, \
-         \"parallel_seconds\": %.4f, \"parallel_domains\": %d, \"parallel_scheduler\": \
-         \"wavefront\", \"speedup\": %.3f},\n"
-        seq1 wf4 4 (seq1 /. wf4)));
   Buffer.add_string buf
     (Printf.sprintf
        "  \"micro\": {\"ntt_forward_n4096_ns_per_op\": %.0f, \

@@ -4,7 +4,6 @@ module Eval = Fhe.Eval
 module Encoder = Fhe.Encoder
 module Context = Fhe.Context
 module Cost = Fhe.Cost
-module Domain_pool = Ace_util.Domain_pool
 module Telemetry = Ace_telemetry.Telemetry
 module Cplx = Fhe.Cplx
 open Ace_ir
@@ -21,14 +20,13 @@ type t = {
      the encode — embedding, rounding and the forward NTT — can be paid
      once per node instead of once per inference. [None] disables caching:
      a single-shot run then frees each plaintext after its last use.
-     [pt_lock] makes lookups domain-safe under the wavefront scheduler;
-     encoding is pure, so a racing double-encode is only wasted work and
-     the first insertion wins. *)
+     [pt_lock] keeps the cache domain-safe should runs of one VM ever
+     execute on several domains at once; encoding is pure, so a racing
+     double-encode is only wasted work and the first insertion wins. *)
   pt_cache : (int, Ciphertext.pt) Hashtbl.t option;
   pt_lock : Mutex.t;
-  (* Wavefront schedule, computed on the first [run_parallel]; sequential
-     runs never pay the analysis. *)
-  mutable sched : Sched.t option;
+  (* Release plan, built once per prepared VM and shared by every run. *)
+  plan : Sched.t;
 }
 
 let phase_of_origin origin =
@@ -51,29 +49,8 @@ let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
     func;
     pt_cache = (if cache_plaintexts then Some (Hashtbl.create 256) else None);
     pt_lock = Mutex.create ();
-    sched = None;
+    plan = Sched.sequential func;
   }
-
-(* Mirrors Ace_verify.Verifier.enabled — the verifier library sits above
-   this one, so the executor reads the knob itself rather than importing
-   it. Cost is one O(nodes + edges) validation per prepared VM. *)
-let runtime_checks =
-  lazy
-    (match Sys.getenv_opt "ACE_VERIFY" with
-    | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "off" | "false" | "no" -> false
-      | _ -> true)
-    | None -> true)
-
-let schedule t =
-  match t.sched with
-  | Some s -> s
-  | None ->
-    let s = Sched.analyze t.func in
-    if Lazy.force runtime_checks then Sched.check t.func s;
-    t.sched <- Some s;
-    s
 
 type value =
   | V_ct of Ciphertext.ct
@@ -85,16 +62,15 @@ type value =
   | V_none
 
 (* Return a dead value's ciphertext buffers to the limb pool. Called at
-   exactly the points [Sched]'s liveness marks a value dead (per-node
-   release lists sequentially, per-wavefront release sets in parallel),
-   which is what makes recycling safe: no later node can name the value.
+   exactly the points the [Sched] release plan marks a value dead, which
+   is what makes recycling safe: no later node can name the value.
 
    A C_batch_get value is a VIEW — the same ciphertext record the batch
    still holds, and the same index may be extracted again much later (a
    gemm reads its rotation bundle once per diagonal block). Views
    therefore own nothing; the batch keeps ownership of every element and
-   the liveness analyses extend the batch's lifetime over all of its
-   views' consumers (see [alias_extend] / [Sched]). Plaintexts are
+   the release plan extends the batch's lifetime over all of its views'
+   consumers (see [Sched.sequential]). Plaintexts are
    recycled only when the encode cache is off — cached encodings are
    shared across runs and immortal. *)
 let release_value t id v =
@@ -109,11 +85,7 @@ let release_value t id v =
 
 (* Execute one node against [values] and return its result. Pure in the
    dataflow sense: reads only argument slots (written by strictly earlier
-   nodes), writes nothing — the caller stores the result. Everything it
-   calls is domain-safe (Limb_pool scratch is domain-local, Crt memo
-   tables and automorphism caches take their own locks, telemetry records
-   on the executing domain's shard), so the wavefront scheduler may run it
-   concurrently for independent nodes. *)
+   nodes), writes nothing — the caller stores the result. *)
 let exec_node t values inputs (n : Irfunc.node) =
   let ctx = t.keys.Fhe.Keys.context in
   let f = t.func in
@@ -206,8 +178,8 @@ let exec_node t values inputs (n : Irfunc.node) =
     match values.(n.Irfunc.args.(0)) with
     | V_ct_batch cts ->
       (* A view into the batch: the batch keeps ownership (the same index
-         may be extracted again by a later consumer), and the liveness
-         analyses keep the batch alive past every view's last use. *)
+         may be extracted again by a later consumer), and the release
+         plan keeps the batch alive past every view's last use. *)
       V_ct cts.(i)
     | _ ->
       invalid_arg
@@ -242,8 +214,6 @@ let calib_metrics =
        (fun c -> (c, Telemetry.metric ("calib." ^ c)))
        [ "key_switch"; "mul"; "rescale"; "encode"; "add"; "bootstrap" ])
 
-let calib_wavefront = lazy (Telemetry.metric "calib.wavefront")
-
 let observe_calib (n : Irfunc.node) dt =
   let predicted = Sched.node_cost n in
   if predicted >= 0.5 then
@@ -251,11 +221,8 @@ let observe_calib (n : Irfunc.node) dt =
     | Some m -> Telemetry.observe m (dt *. 1e6 /. predicted)
     | None -> ()
 
-(* Timed wrapper: phase accounting plus the per-node span, recorded on the
-   executing domain's shard — under the wavefront scheduler that is the
-   worker that claimed the node, so the Chrome trace shows true per-tid
-   occupancy. [tag] carries request-attribution args (batch request ids)
-   into every per-node span. *)
+(* Timed wrapper: phase accounting plus the per-node span. [tag] carries
+   request-attribution args (batch request ids) into every per-node span. *)
 let exec_timed ?(tag = []) t values inputs (n : Irfunc.node) =
   let phase =
     match n.Irfunc.op with
@@ -286,29 +253,8 @@ let run_observed ?(tag = []) ~observe t inputs =
   let values = Array.make (Irfunc.num_nodes f) V_none in
   (* Release each value after its last use: compiled functions hold tens of
      thousands of ciphertexts and plaintexts, far more than ever live at
-     once (the generated C frees them the same way). A rotation batch is
-     kept alive past the last use of every view extracted from it —
-     releasing the batch frees the records the views alias, so its
-     lifetime is the union of its own and its views'. [max_int] marks
-     never-released (returns, unused values); it absorbs the extension. *)
-  let last_use = Array.make (Irfunc.num_nodes f) max_int in
-  Irfunc.iter f (fun n ->
-      Array.iter (fun a -> last_use.(a) <- n.Irfunc.id) n.Irfunc.args);
-  List.iter (fun r -> last_use.(r) <- max_int) (Irfunc.returns f);
-  Irfunc.iter f (fun n ->
-      match n.Irfunc.op with
-      | Op.C_batch_get _ ->
-        let b = n.Irfunc.args.(0) in
-        if last_use.(n.Irfunc.id) > last_use.(b) then
-          last_use.(b) <- last_use.(n.Irfunc.id)
-      | _ -> ());
-  (* The extended last use of a batch is a node that does not name it as
-     an argument, so releases key off a per-node list rather than the
-     releasing node's args. *)
-  let to_free = Array.make (Irfunc.num_nodes f) [] in
-  Array.iteri
-    (fun v u -> if u <> max_int then to_free.(u) <- v :: to_free.(u))
-    last_use;
+     once (the generated C frees them the same way). *)
+  let free = Sched.free_after t.plan in
   (* Per-NN-operator trace grouping: consecutive nodes sharing an origin
      (one conv, one relu block...) become a single enclosing span, so the
      Chrome view nests per-FHE-op spans (from [Cost.timed]) under the NN
@@ -331,71 +277,12 @@ let run_observed ?(tag = []) ~observe t inputs =
       let result = exec_timed ~tag t values inputs n in
       values.(n.Irfunc.id) <- result;
       (match result with V_ct c -> observe n c | _ -> ());
-      List.iter
+      Array.iter
         (fun a ->
           release_value t a values.(a);
           values.(a) <- V_none)
-        to_free.(n.Irfunc.id));
+        free.(n.Irfunc.id));
   flush_origin (Unix.gettimeofday ());
   collect_returns f values
 
 let run ?tag t inputs = run_observed ?tag ~observe:(fun _ _ -> ()) t inputs
-
-(* Dataflow-parallel execution: one barrier per wavefront, node-level
-   work queue inside a wavefront when the cost model votes for it.
-
-   Determinism: nodes of one wavefront are pairwise independent, each
-   writes only its own [values] slot, and each node's computation is the
-   same code the sequential path runs (inner Domain_pool calls degrade to
-   the exact sequential loops while the node queue holds the pool). The
-   inter-wavefront barrier is the pool join, whose mutex hand-off also
-   publishes every slot written by the previous wavefront to all workers.
-   Hence [run_parallel] is bit-identical to [run] for any ACE_DOMAINS.
-
-   Values are released at wavefront granularity ([Sched.free_after]), on
-   the main domain, after the barrier: no worker can still be reading
-   them, and peak memory stays within one wavefront of the sequential
-   executor's live range. *)
-let run_parallel ?(tag = []) t inputs =
-  let f = t.func in
-  let sched = schedule t in
-  let inputs = Array.of_list inputs in
-  let values = Array.make (Irfunc.num_nodes f) V_none in
-  let waves = Sched.wavefronts sched in
-  let free = Sched.free_after sched in
-  let domains = Domain_pool.size () in
-  Array.iteri
-    (fun w nodes ->
-      (* Per-wavefront accountability: the predicted limbs-of-work total
-         vs the measured wall-clock, as a µs-per-unit observation — the
-         distribution the serving daemon's admission control will trust,
-         so it is recorded for BOTH execution modes. *)
-      let predicted = Sched.wave_weight sched w in
-      let t0 = Unix.gettimeofday () in
-      (match Sched.decide sched w ~domains with
-      | Sched.Sequential ->
-        Array.iter
-          (fun id -> values.(id) <- exec_timed ~tag t values inputs (Irfunc.node f id))
-          nodes
-      | Sched.Node_parallel ->
-        Domain_pool.parallel_each (Array.length nodes) (fun i ->
-            let id = nodes.(i) in
-            values.(id) <- exec_timed ~tag t values inputs (Irfunc.node f id));
-        let t1 = Unix.gettimeofday () in
-        Telemetry.emit_span ~cat:"sched"
-          ~args:
-            (("nodes", string_of_int (Array.length nodes))
-            :: ("predicted_units", Printf.sprintf "%.1f" predicted)
-            :: ("measured_us", Printf.sprintf "%.1f" ((t1 -. t0) *. 1e6))
-            :: tag)
-          ~name:"sched.wavefront" ~t0 ~dur:(t1 -. t0) ());
-      (if predicted > 0.0 then
-         let dt = Unix.gettimeofday () -. t0 in
-         Telemetry.observe (Lazy.force calib_wavefront) (dt *. 1e6 /. predicted));
-      Array.iter
-        (fun id ->
-          release_value t id values.(id);
-          values.(id) <- V_none)
-        free.(w))
-    waves;
-  collect_returns f values

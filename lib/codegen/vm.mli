@@ -12,17 +12,19 @@
 type bootstrap_impl =
   node:int -> target_level:int -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
 (** [node] is the IR node id of the bootstrap being executed. Implementations
-    must derive any randomness from it (not from call order) so that
-    sequential and wavefront execution produce bit-identical ciphertexts. *)
+    must derive any randomness from it (not from call order) so that a
+    served, a local and a repeated run of one function produce
+    bit-identical ciphertexts. *)
 
 type t
 
 val prepare :
   ?cache_plaintexts:bool ->
   keys:Ace_fhe.Keys.t -> bootstrap:bootstrap_impl -> Ace_ir.Irfunc.t -> t
-(** Validates annotations ({!Ace_ckks_ir.Scale_check}) and pre-resolves
-    constants. Plaintext masks are encoded on demand during execution
-    (they depend on per-node scale/level). With [cache_plaintexts]
+(** Validates annotations ({!Ace_ckks_ir.Scale_check}), pre-resolves
+    constants and builds the release plan ({!Sched.sequential}) every run
+    of this VM follows. Plaintext masks are encoded on demand during
+    execution (they depend on per-node scale/level). With [cache_plaintexts]
     (default false) each weight's encoded, NTT-domain plaintext is kept
     keyed by node id, so repeated {!run} calls on one VM — the
     {!Ace_driver.Pipeline.runtime} multi-inference path — never re-encode
@@ -32,8 +34,9 @@ val prepare :
 val run :
   ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> Ace_fhe.Ciphertext.ct list
 (** Execute on encrypted inputs (one per function parameter), one node at a
-    time in program order. [?tag] (default empty) is appended to every
-    per-node telemetry span's args — the request-attribution hook:
+    time in program order, releasing each value where {!Sched.free_after}
+    of the prepared plan says it dies. [?tag] (default empty) is appended
+    to every per-node telemetry span's args — the request-attribution hook:
     {!Ace_driver.Pipeline} passes the batch's request ids so a Chrome
     trace can be filtered per request.
 
@@ -41,27 +44,6 @@ val run :
     [calib.<category>] observation of measured-µs / {!Sched.node_cost}
     units (categories from {!Sched.node_category}; epsilon-weight
     bookkeeping ops are skipped). *)
-
-val run_parallel :
-  ?tag:(string * string) list -> t -> Ace_fhe.Ciphertext.ct list -> Ace_fhe.Ciphertext.ct list
-(** Dataflow-parallel execution: partition the function into wavefronts
-    ({!Sched.analyze}, cached on the VM) and execute each wavefront's nodes
-    concurrently across the domain pool when the cost model prefers
-    node-level over limb-level parallelism ({!Sched.decide}). Bit-identical
-    to {!run} for any [ACE_DOMAINS]; with a pool of 1 it {e is} the
-    sequential loop. Per-node telemetry spans land on the worker domain
-    that executed the node.
-
-    Additionally records, for every wavefront in either mode, a
-    [calib.wavefront] observation of measured-wall-µs /
-    {!Sched.wave_weight} predicted units; node-parallel wavefronts carry
-    [predicted_units] / [measured_us] args on their [sched.wavefront]
-    span. *)
-
-val schedule : t -> Sched.t
-(** The wavefront schedule {!run_parallel} uses (computed on first demand
-    and cached). Exposed for tests and for the benchmark's occupancy
-    reports. *)
 
 val run_observed :
   ?tag:(string * string) list ->

@@ -90,8 +90,8 @@ type compiled = {
 }
 
 (* [ACE_LAZY] overrides the strategy's lazy relin/rescale toggle, mirroring
-   ACE_DOMAINS and ACE_SCHED: a compiled-in default the environment can
-   sweep without recompiling callers. *)
+   ACE_DOMAINS: a compiled-in default the environment can sweep without
+   recompiling callers. *)
 let lazy_enabled strategy =
   match Sys.getenv_opt "ACE_LAZY" with
   | None -> strategy.lazy_passes
@@ -351,22 +351,6 @@ let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts 
 
 let runtime_domains () = Ace_util.Domain_pool.size ()
 
-type scheduler = Seq | Wavefront
-
-let scheduler_name = function Seq -> "seq" | Wavefront -> "wavefront"
-
-(* [ACE_SCHED] mirrors [ACE_DOMAINS]: an environment default that explicit
-   [?scheduler] arguments override. Sequential remains the default — the
-   wavefront executor is bit-identical but opt-in, like the pool itself. *)
-let default_scheduler () =
-  match Sys.getenv_opt "ACE_SCHED" with
-  | None -> Seq
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "" | "seq" | "sequential" -> Seq
-    | "wavefront" | "parallel" -> Wavefront
-    | other -> invalid_arg ("ACE_SCHED must be seq or wavefront, got " ^ other))
-
 let make_keys c ~seed =
   let rng = Ace_util.Rng.create seed in
   let keys =
@@ -454,7 +438,7 @@ let default_request_ids k = Array.init k (fun i -> "r" ^ string_of_int i)
 (* A missing Galois key at execution time means the compile-time key plan
    and the runtime key set disagree — a planning bug or keys generated
    from a different plan — so the error names all three sides. *)
-let run_vm ?request_ids ~scheduler c vm ct =
+let run_vm ?request_ids c vm ct =
   let k = requests_per_ct c in
   let ids =
     match request_ids with
@@ -469,14 +453,9 @@ let run_vm ?request_ids ~scheduler c vm ct =
   let tag =
     [ ("request_ids", String.concat "," (Array.to_list ids)); ("k", string_of_int k) ]
   in
-  let exec vm cts =
-    match scheduler with
-    | Seq -> Ace_codegen.Vm.run ~tag vm cts
-    | Wavefront -> Ace_codegen.Vm.run_parallel ~tag vm cts
-  in
   let t0 = Unix.gettimeofday () in
   let g0 = Gc.quick_stat () in
-  match exec vm [ ct ] with
+  match Ace_codegen.Vm.run ~tag vm [ ct ] with
   | [ out ] ->
     let dur = Unix.gettimeofday () -. t0 in
     let g1 = Gc.quick_stat () in
@@ -516,10 +495,9 @@ let run_vm ?request_ids ~scheduler c vm ct =
 let make_bootstrap keys ~seed ~node ~target_level x =
   Fhe.Bootstrap.refresh_impl keys ~seed ~ordinal:node ~target_level x
 
-let run_encrypted ?scheduler ?request_ids c keys ~seed ct =
-  let scheduler = match scheduler with Some s -> s | None -> default_scheduler () in
+let run_encrypted ?request_ids c keys ~seed ct =
   let vm = Ace_codegen.Vm.prepare ~keys ~bootstrap:(make_bootstrap keys ~seed) c.ckks in
-  run_vm ?request_ids ~scheduler c vm ct
+  run_vm ?request_ids c vm ct
 
 (* Under complex packing the decrypted slots hold m*(a + i*b); divide by
    the multiplier the cplx pass recorded for this output. *)
@@ -556,9 +534,9 @@ let decrypt_batch c keys ct =
 let infer_encrypted c keys ~seed image =
   decrypt_output c keys (run_encrypted c keys ~seed (encrypt_input c keys ~seed image))
 
-let infer_encrypted_batch ?scheduler ?request_ids c keys ~seed images =
+let infer_encrypted_batch ?request_ids c keys ~seed images =
   decrypt_batch c keys
-    (run_encrypted ?scheduler ?request_ids c keys ~seed (encrypt_batch c keys ~seed images))
+    (run_encrypted ?request_ids c keys ~seed (encrypt_batch c keys ~seed images))
 
 (* A resident runtime: the prepared VM lives across inferences, so weight
    plaintexts are encoded (embed + round + forward NTT) once ever instead
@@ -568,25 +546,20 @@ type runtime = {
   rt_compiled : compiled;
   rt_keys : Fhe.Keys.t;
   rt_vm : Ace_codegen.Vm.t;
-  rt_scheduler : scheduler;
 }
 
-let make_runtime ?telemetry ?scheduler c keys ~seed =
+let make_runtime ?telemetry c keys ~seed =
   (match telemetry with
   | Some cfg -> Ace_telemetry.Telemetry.configure cfg
   | None -> ());
-  let scheduler = match scheduler with Some s -> s | None -> default_scheduler () in
   let rt_vm =
     Ace_codegen.Vm.prepare ~cache_plaintexts:true ~keys ~bootstrap:(make_bootstrap keys ~seed)
       c.ckks
   in
-  { rt_compiled = c; rt_keys = keys; rt_vm; rt_scheduler = scheduler }
-
-let runtime_scheduler rt = rt.rt_scheduler
-let runtime_vm rt = rt.rt_vm
+  { rt_compiled = c; rt_keys = keys; rt_vm }
 
 let run_encrypted_rt ?request_ids rt ct =
-  run_vm ?request_ids ~scheduler:rt.rt_scheduler rt.rt_compiled rt.rt_vm ct
+  run_vm ?request_ids rt.rt_compiled rt.rt_vm ct
 
 let infer_encrypted_rt rt ~seed image =
   decrypt_output rt.rt_compiled rt.rt_keys

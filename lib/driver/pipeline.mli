@@ -129,21 +129,6 @@ val runtime_domains : unit -> int
     (the [ACE_DOMAINS] knob; see lib/util/domain_pool.mli). Compilation
     itself is sequential — this only affects [run_encrypted] and friends. *)
 
-type scheduler =
-  | Seq  (** program order, one node at a time (the baseline executor) *)
-  | Wavefront
-      (** dataflow-parallel: {!Ace_codegen.Vm.run_parallel} over the
-          {!Ace_codegen.Sched} wavefront partition. Bit-identical to [Seq]
-          for any pool size. *)
-
-val scheduler_name : scheduler -> string
-(** ["seq"] / ["wavefront"] — the [ACE_SCHED] spellings. *)
-
-val default_scheduler : unit -> scheduler
-(** The [ACE_SCHED] environment knob ([seq] (default) | [wavefront]),
-    mirroring [ACE_DOMAINS]: an ambient default that explicit [?scheduler]
-    arguments override. *)
-
 (** {1 Client/server protocol helpers (paper Figure 2)} *)
 
 val make_keys : compiled -> seed:int -> Ace_fhe.Keys.t
@@ -161,12 +146,9 @@ val encrypt_batch :
     [(a+ib)/2]. @raise Invalid_argument on a count mismatch. *)
 
 val run_encrypted :
-  ?scheduler:scheduler ->
   ?request_ids:string array ->
   compiled -> Ace_fhe.Keys.t -> seed:int -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct
-(** [?scheduler] defaults to {!default_scheduler}[ ()].
-
-    [?request_ids] names the {!requests_per_ct} requests riding in the
+(** [?request_ids] names the {!requests_per_ct} requests riding in the
     ciphertext (default ["r0".."r{k-1}"]; @raise Invalid_argument on a
     count mismatch). Every execution — whatever its batch factor —
     records per-request attribution: a [request.batch] span whose args
@@ -190,7 +172,6 @@ val infer_encrypted :
 (** encrypt -> run -> decrypt, one image. *)
 
 val infer_encrypted_batch :
-  ?scheduler:scheduler ->
   ?request_ids:string array ->
   compiled -> Ace_fhe.Keys.t -> seed:int -> float array array -> float array array
 (** encrypt -> run -> decrypt for {!requests_per_ct} independent images
@@ -207,17 +188,10 @@ type runtime
 
 val make_runtime :
   ?telemetry:Ace_telemetry.Telemetry.config ->
-  ?scheduler:scheduler -> compiled -> Ace_fhe.Keys.t -> seed:int -> runtime
+  compiled -> Ace_fhe.Keys.t -> seed:int -> runtime
 (** [?telemetry] applies {!Ace_telemetry.Telemetry.configure} before the
     VM is prepared — the programmatic equivalent of
-    [ACE_TRACE]/[ACE_METRICS]/[ACE_FLIGHT] for serving loops.
-    [?scheduler] (default {!default_scheduler}[ ()]) fixes the executor
-    every [run_encrypted_rt] call uses. *)
-
-val runtime_scheduler : runtime -> scheduler
-
-val runtime_vm : runtime -> Ace_codegen.Vm.t
-(** The resident VM (for {!Ace_codegen.Vm.schedule} occupancy reports). *)
+    [ACE_TRACE]/[ACE_METRICS]/[ACE_FLIGHT] for serving loops. *)
 
 val run_encrypted_rt :
   ?request_ids:string array -> runtime -> Ace_fhe.Ciphertext.ct -> Ace_fhe.Ciphertext.ct

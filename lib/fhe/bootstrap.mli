@@ -21,5 +21,5 @@ val refresh_impl :
   Keys.t -> seed:int -> ordinal:int -> target_level:int -> Ciphertext.ct -> Ciphertext.ct
 (** Stateless wrapper for the VM: derives a deterministic rng from
     [(seed, ordinal)]. Callers pass a stable ordinal (the VM uses the IR
-    node id) so results do not depend on invocation order — required for
-    the wavefront scheduler's bit-identity guarantee. *)
+    node id) so results do not depend on how many bootstraps ran before:
+    served, local and repeated runs of one function stay bit-identical. *)

@@ -10,9 +10,9 @@
     rotation steps absent from the keygen plan, ill-formed hoisted
     [C_rotate_batch] access, bootstrap targets outside the chain, and
     slot-capacity overflows. {!schedule} applies {!Ace_codegen.Sched.check}
-    — coverage, RAW ordering, barrier singletons, liveness — to any
-    schedule, and {!function_checks} verifies the wavefront and the
-    degenerate sequential schedule with the same rules.
+    — no release before a direct or through-view read, no double or
+    return release — to a release plan, and {!function_checks} verifies
+    {!Ace_codegen.Sched.sequential}, the plan the VM executes.
 
     All checks collect diagnostics instead of failing fast, and a
     corrupted program must never crash the verifier: internal exceptions
@@ -59,7 +59,8 @@ val function_checks :
   Ace_ir.Irfunc.t ->
   Diagnostic.t list
 (** [well_formed], then — for a structurally sound CKKS function with a
-    context — the abstract interpretation and both schedules. *)
+    context — the abstract interpretation and the VM's release plan
+    ({!Ace_codegen.Sched.sequential}). *)
 
 val check_exn :
   pass:string ->

@@ -1,11 +1,10 @@
-(* Wavefront scheduler: dependency analysis unit tests and the
-   bit-identity contract of Vm.run_parallel against the sequential
-   executor at several pool sizes (with and without bootstraps, with and
-   without the plaintext-encode cache). *)
+(* Release plan: unit tests of Sched.sequential, the one liveness plan
+   the VM executes and the verifier checks, and the bit-identity of the
+   VM across domain-pool widths (with bootstraps, and with the
+   plaintext-encode cache). *)
 module Domain_pool = Ace_util.Domain_pool
 module Rns_poly = Ace_rns.Rns_poly
 module Sched = Ace_codegen.Sched
-module Vm = Ace_codegen.Vm
 module Pipeline = Ace_driver.Pipeline
 module Param_select = Ace_ckks_ir.Param_select
 module Lower_sihe = Ace_ckks_ir.Lower_sihe
@@ -19,77 +18,16 @@ let with_domains n f =
   Domain_pool.set_num_domains n;
   Fun.protect ~finally:(fun () -> Domain_pool.set_num_domains 1) f
 
-let wave_of sched id =
-  let w = ref (-1) in
+(* The node after which [id] is released, or [None] if it never is. *)
+let released_after sched id =
+  let at = ref None in
   Array.iteri
-    (fun i nodes -> if Array.exists (( = ) id) nodes then w := i)
-    (Sched.wavefronts sched);
-  !w
+    (fun i ids -> if Array.exists (( = ) id) ids then at := Some i)
+    (Sched.free_after sched);
+  !at
 
-(* ---- dependency analysis on hand-built graphs ---- *)
-
-let test_diamond () =
-  let f = Irfunc.create ~name:"diamond" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
-  let p = Irfunc.param f 0 in
-  let a = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let b = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let j = Irfunc.add f Op.C_add [| a; b |] (Types.Vec 8) in
-  Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
-  Sched.check f s;
-  Alcotest.(check int) "three wavefronts" 3 (Array.length (Sched.wavefronts s));
-  Alcotest.(check bool) "diamond arms share a wavefront" true (wave_of s a = wave_of s b);
-  Alcotest.(check bool) "join strictly after arms" true (wave_of s j > wave_of s a);
-  Alcotest.(check int) "max_width is the diamond" 2 (Sched.max_width s);
-  (* Release sets: the param dies after the arms' wavefront, the arms after
-     the join's; the returned join is immortal. *)
-  let free = Sched.free_after s in
-  Alcotest.(check bool) "param freed after arms" true
-    (Array.exists (( = ) p) free.(wave_of s a));
-  Alcotest.(check bool) "arms freed after join" true
-    (Array.exists (( = ) a) free.(wave_of s j) && Array.exists (( = ) b) free.(wave_of s j));
-  Alcotest.(check bool) "return never freed" true
-    (not (Array.exists (Array.exists (( = ) j)) free))
-
-let test_bootstrap_barrier () =
-  let f = Irfunc.create ~name:"barrier" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
-  let p = Irfunc.param f 0 in
-  let a = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let bs = Irfunc.add f (Op.C_bootstrap 3) [| a |] (Types.Vec 8) in
-  (* [c] depends only on the param — dataflow would allow it beside [a] —
-     but it is appended after the bootstrap, so the barrier must push it
-     into a strictly later wavefront. *)
-  let c = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
-  let j = Irfunc.add f Op.C_add [| bs; c |] (Types.Vec 8) in
-  Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
-  Sched.check f s;
-  let wb = wave_of s bs in
-  Alcotest.(check bool) "bootstrap wavefront is a barrier" true (Sched.is_barrier s wb);
-  Alcotest.(check int) "barrier is a singleton" 1 (Array.length (Sched.wavefronts s).(wb));
-  Alcotest.(check bool) "pre-barrier node before it" true (wave_of s a < wb);
-  Alcotest.(check bool) "post-barrier node after it, despite no data dep" true
-    (wave_of s c > wb);
-  Alcotest.(check bool) "barrier never Node_parallel" true
-    (Sched.decide s wb ~domains:8 = Sched.Sequential)
-
-let test_decide_modes () =
-  let f = Irfunc.create ~name:"modes" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
-  let p = Irfunc.param f 0 in
-  let rots = Array.init 8 (fun k -> Irfunc.add f (Op.C_rotate (k + 1)) [| p |] (Types.Vec 8)) in
-  let j = Irfunc.add f Op.C_add [| rots.(0); rots.(1) |] (Types.Vec 8) in
-  Irfunc.set_returns f [ j ];
-  let s = Sched.analyze f in
-  Sched.check f s;
-  let w = wave_of s rots.(0) in
-  Alcotest.(check bool) "8 independent key-switches go node-parallel" true
-    (Sched.decide s w ~domains:4 = Sched.Node_parallel);
-  Alcotest.(check bool) "domains=1 is always sequential" true
-    (Sched.decide s w ~domains:1 = Sched.Sequential);
-  Alcotest.(check bool) "singleton wavefront is sequential" true
-    (Sched.decide s (wave_of s j) ~domains:4 = Sched.Sequential)
-
-(* ---- bit-identity of run_parallel against run ---- *)
+let check_released what sched id expected =
+  Alcotest.(check (option int)) what expected (released_after sched id)
 
 let gemv_graph () =
   let b = Builder.create "gemv" in
@@ -123,25 +61,62 @@ let check_ct_equal what (a : Ace_fhe.Ciphertext.ct) (b : Ace_fhe.Ciphertext.ct) 
         (Rns_poly.equal pa b.Ace_fhe.Ciphertext.polys.(i)))
     a.Ace_fhe.Ciphertext.polys
 
-let run_with c keys scheduler x =
-  let ct = Pipeline.encrypt_input c keys ~seed:7 x in
-  Pipeline.run_encrypted ~scheduler c keys ~seed:8 ct
+(* ---- release plans of hand-built graphs ---- *)
 
-let test_gemv_bit_identical () =
-  let c = Pipeline.compile Pipeline.ace (Import.import (gemv_graph ())) in
-  let keys = Pipeline.make_keys c ~seed:5 in
-  let rng = Rng.create 6 in
-  let x = Array.init 16 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
-  List.iter
-    (fun d ->
-      let got = with_domains d (fun () -> run_with c keys Pipeline.Wavefront x) in
-      check_ct_equal (Printf.sprintf "wavefront at %d domains" d) reference got)
-    [ 1; 2; 4 ]
+let test_diamond () =
+  let f = Irfunc.create ~name:"diamond" ~level:Level.Ckks ~params:[ ("x", Types.Vec 8) ] in
+  let p = Irfunc.param f 0 in
+  let a = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
+  let b = Irfunc.add f Op.C_add [| p; p |] (Types.Vec 8) in
+  let j = Irfunc.add f Op.C_add [| a; b |] (Types.Vec 8) in
+  Irfunc.set_returns f [ j ];
+  let s = Sched.sequential f in
+  Sched.check f s;
+  check_released "param freed after its last arm" s p (Some b);
+  check_released "first arm freed after the join" s a (Some j);
+  check_released "second arm freed after the join" s b (Some j);
+  check_released "return never freed" s j None
+
+(* A C_batch_get view owns nothing: its rotation batch must outlive every
+   reader of every view, a returned view pins the batch, and a view nobody
+   reads extends nothing. *)
+let test_rotation_batch () =
+  let f = Irfunc.create ~name:"views" ~level:Level.Ckks ~params:[ ("x", Types.Cipher) ] in
+  let p = Irfunc.param f 0 in
+  let rb = Irfunc.add f (Op.C_rotate_batch [| 1; 2 |]) [| p |] Types.Cipher in
+  let v0 = Irfunc.add f (Op.C_batch_get 0) [| rb |] Types.Cipher in
+  let v1 = Irfunc.add f (Op.C_batch_get 1) [| rb |] Types.Cipher in
+  let unused = Irfunc.add f (Op.C_batch_get 0) [| rb |] Types.Cipher in
+  let x = Irfunc.add f Op.C_add [| v0; p |] Types.Cipher in
+  let z = Irfunc.add f Op.C_add [| x; v1 |] Types.Cipher in
+  Irfunc.set_returns f [ z ];
+  let s = Sched.sequential f in
+  Sched.check f s;
+  check_released "batch outlives the last reader of any view" s rb (Some z);
+  check_released "unused view is never released" s unused None;
+  (* Same graph, but one view is also returned. *)
+  Irfunc.set_returns f [ z; v0 ];
+  let s = Sched.sequential f in
+  Sched.check f s;
+  check_released "returned view pins the batch" s rb None
+
+(* The plan the VM builds for a real compiled model (with bootstraps) must
+   pass the verifier's rules. *)
+let test_compiled_schedule_checks () =
+  let nn = Import.import (conv_relu_graph ()) in
+  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
+  let c = Pipeline.compile ~context:ctx Pipeline.ace nn in
+  Sched.check c.Pipeline.ckks (Sched.sequential c.Pipeline.ckks)
+
+(* ---- bit-identity across pool widths ---- *)
+
+let run_with c keys x =
+  let ct = Pipeline.encrypt_input c keys ~seed:7 x in
+  Pipeline.run_encrypted c keys ~seed:8 ct
 
 (* A depth-5 context forces real bootstraps into the compiled function, so
-   this exercises the barrier path and the node-seeded recryption rng:
-   any order dependence in bootstrap randomness would break equality. *)
+   this exercises the node-seeded recryption rng alongside the
+   limb-parallel runtime. *)
 let test_bootstrapped_bit_identical () =
   let nn = Import.import (conv_relu_graph ()) in
   let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
@@ -150,62 +125,50 @@ let test_bootstrapped_bit_identical () =
   let keys = Pipeline.make_keys c ~seed:45 in
   let rng = Rng.create 17 in
   let x = Array.init 32 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
+  let reference = with_domains 1 (fun () -> run_with c keys x) in
   List.iter
     (fun d ->
-      let got = with_domains d (fun () -> run_with c keys Pipeline.Wavefront x) in
-      check_ct_equal (Printf.sprintf "bootstrapped wavefront at %d domains" d) reference got)
+      let got = with_domains d (fun () -> run_with c keys x) in
+      check_ct_equal (Printf.sprintf "bootstrapped at %d domains" d) reference got)
     [ 2; 4 ]
 
-(* The resident runtime's plaintext-encode cache must be transparent under
-   both schedulers: first and second inference bit-identical to the
-   throwaway-VM path, whatever executor fills the cache. *)
+(* The resident runtime's plaintext-encode cache must be transparent at
+   every pool width: first and second inference bit-identical to the
+   throwaway-VM path at 1 domain. *)
 let test_pt_cache_identity () =
   let c = Pipeline.compile Pipeline.ace (Import.import (gemv_graph ())) in
   let keys = Pipeline.make_keys c ~seed:5 in
   let rng = Rng.create 9 in
   let x = Array.init 16 (fun _ -> Rng.float rng 1.0 -. 0.5) in
-  let reference = with_domains 1 (fun () -> run_with c keys Pipeline.Seq x) in
+  let reference = with_domains 1 (fun () -> run_with c keys x) in
   List.iter
-    (fun scheduler ->
-      with_domains 2 @@ fun () ->
-      let rt = Pipeline.make_runtime ~scheduler c keys ~seed:8 in
+    (fun d ->
+      with_domains d @@ fun () ->
+      let rt = Pipeline.make_runtime c keys ~seed:8 in
       let ct () = Pipeline.encrypt_input c keys ~seed:7 x in
       let first = Pipeline.run_encrypted_rt rt (ct ()) in
       let second = Pipeline.run_encrypted_rt rt (ct ()) in
-      let what = "pt-cache " ^ Pipeline.scheduler_name scheduler in
+      let what = Printf.sprintf "pt-cache at %d domains" d in
       check_ct_equal (what ^ " first") reference first;
       check_ct_equal (what ^ " second (cache hit)") reference second)
-    [ Pipeline.Seq; Pipeline.Wavefront ]
-
-(* Vm.schedule on a real compiled model: the validator must accept the
-   schedule the parallel executor will use. *)
-let test_compiled_schedule_checks () =
-  let nn = Import.import (conv_relu_graph ()) in
-  let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
-  let c = Pipeline.compile ~context:ctx Pipeline.ace nn in
-  let s = Sched.analyze c.Pipeline.ckks in
-  Sched.check c.Pipeline.ckks s;
-  Alcotest.(check bool) "some node-level parallelism exists" true (Sched.max_width s > 1)
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "sched"
     [
       ( "analysis",
         [
-          Alcotest.test_case "diamond wavefronts and release sets" `Quick test_diamond;
-          Alcotest.test_case "bootstrap is a barrier" `Quick test_bootstrap_barrier;
-          Alcotest.test_case "cost-model mode decisions" `Quick test_decide_modes;
+          Alcotest.test_case "diamond: param dies after its last arm" `Quick test_diamond;
+          Alcotest.test_case "rotation batch outlives its views' readers" `Quick
+            test_rotation_batch;
           Alcotest.test_case "compiled model schedule validates" `Quick
             test_compiled_schedule_checks;
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "gemv: wavefront = seq at 1/2/4 domains" `Quick
-            test_gemv_bit_identical;
-          Alcotest.test_case "bootstrapped model: wavefront = seq" `Quick
+          Alcotest.test_case "bootstrapped model: 2/4 domains = 1 domain" `Quick
             test_bootstrapped_bit_identical;
-          Alcotest.test_case "plaintext cache transparent under both schedulers" `Quick
+          Alcotest.test_case "plaintext cache transparent under both pool widths" `Quick
             test_pt_cache_identity;
         ] );
     ]
