@@ -63,13 +63,18 @@ let fig5 () =
     (fun spec ->
       let t0 = Unix.gettimeofday () in
       let c = Pipeline.compile Pipeline.ace (Resnet.build_calibrated spec) in
+      (* "Others": weight externalisation, which the paper writes to disk
+         as part of producing the C artifact. *)
+      let t1 = Unix.gettimeofday () in
+      ignore (Ace_codegen.C_backend.emit_weights_file c.Pipeline.ckks);
+      let others = Unix.gettimeofday () -. t1 in
       let total = Unix.gettimeofday () -. t0 in
       let level l = List.assoc l c.Pipeline.level_seconds in
       let pct s = 100.0 *. s /. total in
       Printf.printf "%-10s %7.2fs | %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%% %5.1f%%\n%!"
         spec.Resnet.model_name total (pct (level Level.Nn)) (pct (level Level.Vector))
         (pct (level Level.Sihe)) (pct (level Level.Ckks)) (pct (level Level.Poly))
-        (pct c.Pipeline.other_seconds);
+        (pct others);
       Hashtbl.replace compile_cache ("ACE/" ^ spec.Resnet.model_name) c)
     models
 

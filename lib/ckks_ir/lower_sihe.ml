@@ -277,7 +277,6 @@ let lower cfg src =
       st.map.(n.Irfunc.id) <- out);
   let rets = List.map (fun r -> reduce st st.map.(r)) (Irfunc.returns src) in
   Irfunc.set_returns dst rets;
-  Verify.verify dst;
   dst
 
 let rotation_amounts f =

@@ -42,7 +42,6 @@ let phase_of_origin origin =
 
 let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
   if Irfunc.level func <> Level.Ckks then invalid_arg "Vm.prepare: not a CKKS function";
-  Ace_ckks_ir.Scale_check.check keys.Fhe.Keys.context func;
   {
     keys;
     bootstrap;

@@ -21,9 +21,11 @@ type t
 val prepare :
   ?cache_plaintexts:bool ->
   keys:Ace_fhe.Keys.t -> bootstrap:bootstrap_impl -> Ace_ir.Irfunc.t -> t
-(** Validates annotations ({!Ace_ckks_ir.Scale_check}), pre-resolves
-    constants and builds the release plan ({!Sched.sequential}) every run
-    of this VM follows. Plaintext masks are encoded on demand during
+(** Pre-resolves constants and builds the release plan
+    ({!Sched.sequential}) every run of this VM follows. The function is
+    taken as verified: {!Ace_driver.Pipeline.compile} and
+    {!Ace_driver.Pipeline.restore} run the checkers, so this runs none.
+    Plaintext masks are encoded on demand during
     execution (they depend on per-node scale/level). With [cache_plaintexts]
     (default false) each weight's encoded, NTT-domain plaintext is kept
     keyed by node id, so repeated {!run} calls on one VM — the

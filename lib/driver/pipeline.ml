@@ -12,13 +12,6 @@ module Verifier = Ace_verify.Verifier
 module Fhe = Ace_fhe
 open Ace_ir
 
-(* The cross-level verifier runs after every lowering stage (ACE_VERIFY,
-   on by default; see lib/verify). A diagnostic here means the stage just
-   executed miscompiled the function — [Verifier.Rejected] carries the
-   typed findings and names the offending IR nodes. *)
-let verify_stage ~pass ?plan ?context f =
-  if Verifier.enabled () then Verifier.check_exn ~pass ?plan ?context f
-
 type strategy = {
   strategy_name : string;
   conv_regroup : bool;
@@ -178,13 +171,22 @@ let compile ?context ?batch ?complex strategy nn_input =
           request x batch %d)"
          (Fhe.Context.slots context) need (need / batch) batch);
   let slots = Fhe.Context.slots context in
+  (* The cross-level verifier runs once after every stage (see lib/verify),
+     in [compile.verify] spans that add up to [other_seconds]. A diagnostic
+     here means the stage just executed miscompiled the function —
+     [Verifier.Rejected] carries the typed findings and names the
+     offending IR nodes. *)
+  let t_verify = ref 0.0 in
+  let verifying check =
+    let (), t = timed "verify" check in
+    t_verify := !t_verify +. t
+  in
+  let verify_stage ~pass ?plan f =
+    verifying (fun () -> Verifier.check_exn ~pass ?plan ~context f)
+  in
   (* NN level: import-side cleanups. *)
   let nn, t_nn =
-    timed "nn" (fun () ->
-        let f = Ace_nn.Fusion.collapse_shape_ops nn_input in
-        let f = Ace_nn.Fusion.dce f in
-        Verify.verify f;
-        f)
+    timed "nn" (fun () -> Ace_nn.Fusion.dce (Ace_nn.Fusion.collapse_shape_ops nn_input))
   in
   verify_stage ~pass:"nn" nn;
   (* VECTOR level. *)
@@ -238,43 +240,31 @@ let compile ?context ?batch ?complex strategy nn_input =
           end
           else (f, None)
         in
-        Ace_ckks_ir.Scale_check.check context f;
         ((f, cplx_info), lazy_stats))
   in
   let ckks, cplx_info = ckks in
   (* No keygen plan yet: the plan is derived from this function below, so
-     this stage checks well-formedness and the abstract (scale, level,
-     limbs) interpretation plus both execution schedules. *)
-  verify_stage ~pass:"ckks" ~context ckks;
-  let key_plan =
-    if strategy.pruned_keys then Keygen_plan.pruned ckks
-    else Keygen_plan.power_of_two ~slots
-  in
-  let ckks, t_keys =
+     this stage checks well-formedness, the abstract (scale, level, limbs)
+     interpretation and the release plan. *)
+  verify_stage ~pass:"ckks" ckks;
+  let (ckks, key_plan), t_keys =
     timed "keys" (fun () ->
+        let key_plan =
+          if strategy.pruned_keys then Keygen_plan.pruned ckks
+          else Keygen_plan.power_of_two ~slots
+        in
         let f =
-          if strategy.pruned_keys then ckks
-          else begin
-            let f = Keygen_plan.rewrite_rotations key_plan ckks in
-            Ace_ckks_ir.Scale_check.check context f;
-            f
-          end
+          if strategy.pruned_keys then ckks else Keygen_plan.rewrite_rotations key_plan ckks
         in
         (* Hoisting batches run on the FINAL rotation steps, so grouping
            must follow the hop rewrite above — a bundle is executed
            verbatim against its Galois keys. *)
-        if strategy.hoist_rotations then begin
-          let f = Ckks_fusion.batch_rotations f in
-          Ace_ckks_ir.Scale_check.check context f;
-          Verify.verify f;
-          f
-        end
-        else f)
+        ((if strategy.hoist_rotations then Ckks_fusion.batch_rotations f else f), key_plan))
   in
   (* The execution-ready function: every rotation step must now have a
      planned Galois key, and hoisted bundles must be accessed only through
      batch_get — the checks that subsume a runtime Missing_rotation_key. *)
-  verify_stage ~pass:"keys" ~plan:key_plan ~context ckks;
+  verify_stage ~pass:"keys" ~plan:key_plan ckks;
   (* POLY level. *)
   let (poly, c_source), t_poly =
     timed "poly" (fun () ->
@@ -283,9 +273,7 @@ let compile ?context ?batch ?complex strategy nn_input =
         let p = Ace_poly_ir.Op_fusion.fuse p in
         (p, Ace_codegen.C_backend.emit ckks p))
   in
-  if Verifier.enabled () then Verifier.poly_exn ~pass:"poly" poly;
-  (* "Others": weight externalisation (the paper writes them to disk). *)
-  let _, t_other = timed "other" (fun () -> Ace_codegen.C_backend.emit_weights_file ckks) in
+  verifying (fun () -> Verifier.poly_exn ~pass:"poly" poly);
   {
     strategy;
     batch;
@@ -309,7 +297,7 @@ let compile ?context ?batch ?complex strategy nn_input =
         (Level.Ckks, t_ckks +. t_keys);
         (Level.Poly, t_poly);
       ];
-    other_seconds = t_other;
+    other_seconds = !t_verify;
   }
 
 (* Reassembling a [compiled] from a persisted artifact: the serving
@@ -317,8 +305,10 @@ let compile ?context ?batch ?complex strategy nn_input =
    the upper IR levels and the C artifact get placeholders (serving
    never reads them), and the keygen plan is re-derived from the CKKS
    function exactly as [compile] derives it — [Keygen_plan.pruned] is a
-   linear walk, so restoring costs microseconds where [compile] costs
-   seconds. *)
+   linear walk, so restoring costs milliseconds where [compile] costs
+   seconds. The CKKS function arrives from outside the program, so it
+   gets the same check as the last compile stage before anything runs
+   it. *)
 let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts ~lazy_stats ()
     =
   let placeholder level =
@@ -330,6 +320,7 @@ let restore ~strategy ~batch ~cplx ~context ~ckks ~input_layout ~output_layouts 
     if strategy.pruned_keys then Keygen_plan.pruned ckks
     else Keygen_plan.power_of_two ~slots:(Fhe.Context.slots context)
   in
+  Verifier.check_exn ~pass:"restore" ~plan:key_plan ~context ckks;
   {
     strategy;
     batch;

@@ -3,7 +3,8 @@
 
     [compile] runs NN import cleanups, NN->VECTOR, VECTOR->SIHE,
     SIHE->CKKS, CKKS fusion, rotation-key planning and POLY lowering,
-    timing each level for the Figure 5 breakdown. Two built-in strategies:
+    running the cross-level verifier once after each stage and timing
+    each level for the Figure 5 breakdown. Two built-in strategies:
 
     - {!ace}: every optimization on (conv regrouping, BSGS GEMM, lazy
       rescaling, minimal-level bootstrapping, pruned rotation keys);
@@ -68,7 +69,11 @@ type compiled = {
       (** eager-vs-lazy relin/rescale counts of the CKKS function (equal
           when the lazy passes were disabled) *)
   level_seconds : (Ace_ir.Level.t * float) list; (** Figure 5 rows *)
-  other_seconds : float; (** weight externalisation etc. *)
+  other_seconds : float;
+      (** compile time outside the five lowerings: the verifier stages,
+          recorded as [compile.verify] spans. [compile] emits no weights
+          file; callers that write one call
+          {!Ace_codegen.C_backend.emit_weights_file} themselves. *)
 }
 
 val lazy_enabled : strategy -> bool
@@ -114,12 +119,15 @@ val restore :
   compiled
 (** Reassemble a [compiled] from a persisted serving artifact
     ({!Ace_serve.Wire}) without re-running any lowering: the keygen plan
-    is re-derived from the CKKS function (a cheap walk), and the fields
+    is re-derived from the CKKS function (a cheap walk), the function is
+    verified against it and the context, and the fields
     serving never touches — the upper IR levels, the POLY function, the
     generated C — hold explicit placeholders. Every serving entry point
     ([make_keys], [encrypt_*], [run_encrypted*], [decrypt_*],
     [make_runtime]) works on a restored value; [Stats.of_compiled] and
-    the C artifact accessors do not. *)
+    the C artifact accessors do not.
+    @raise Ace_verify.Verifier.Rejected when the function fails the
+    verifier (e.g. a corrupted scale annotation). *)
 
 val slots_needed : Ace_ir.Irfunc.t -> int
 (** Smallest power-of-two slot vector the NN function's layouts fit in. *)

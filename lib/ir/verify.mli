@@ -1,23 +1,23 @@
 (** IR verifier.
 
-    Checks structural well-formedness (argument ids in range and earlier
-    than their users, arities, returns set), level consistency (a function
-    at level L contains only L-level and common opcodes) and per-opcode
-    typing rules (e.g. [SIHE.mul]'s first operand is a ciphertext, its
-    second a ciphertext or plaintext, and the result type matches; Conv
-    weights have the declared shape). Every pass is expected to preserve
-    [verify]; the pass manager re-checks after each pass when enabled. *)
+    Checks structural well-formedness (def-before-use, single assignment,
+    arities, returns set), level consistency (a function at level L
+    contains only L-level and common opcodes) and per-opcode typing rules
+    (e.g. [SIHE.mul]'s first operand is a ciphertext, its second a
+    ciphertext or plaintext, and the result type matches; Conv weights
+    have the declared shape). {!well_formed} collects every violation;
+    {!verify} is the same check failing on the first. Every pass is
+    expected to preserve it; the pass manager re-checks after each pass
+    when enabled. *)
 
 exception Ill_formed of string
 
-val check_node : Irfunc.t -> Irfunc.node -> unit
-(** Per-opcode typing rules for one node (operand/result types, attribute
-    consistency). Structural properties (argument ordering, arity, level
-    discipline) are {!verify}'s job. Exposed so {!Ace_verify.Verifier} can
-    reuse the rules while collecting diagnostics instead of failing fast.
-    @raise Ill_formed on the first violation. *)
+val well_formed : pass:string -> Irfunc.t -> Diagnostic.t list
+(** Every structural and typing violation, in program order, each naming
+    its node; [pass] names the stage that produced the function. Never
+    raises on a corrupted function. *)
 
 val verify : Irfunc.t -> unit
-(** @raise Ill_formed with a diagnostic naming the offending node. *)
+(** @raise Ill_formed with {!well_formed}'s first diagnostic. *)
 
 val verify_result : Irfunc.t -> (unit, string) result

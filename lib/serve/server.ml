@@ -135,10 +135,16 @@ let try_load_artifact cfg spec_str hash =
       if art.Wire.art_hash <> hash || art.art_spec <> spec_str then None
       else
         (* The params passed validation but could still be out of the
-           security table's range if the file was tampered with. *)
+           security table's range, and the schedule could still carry a
+           bad annotation, if the file was tampered with or written by a
+           miscompiling build. *)
         match Wire.compiled_of_artifact art with
         | c -> Some c
-        | exception (Ace_fhe.Context.Insecure _ | Invalid_argument _ | B.Error _) -> None))
+        | exception (Ace_fhe.Context.Insecure _ | Invalid_argument _ | B.Error _) -> None
+        | exception Ace_verify.Verifier.Rejected ds ->
+          Printf.eprintf "[ace-serve] discarding rejected artifact %s:\n%s\n%!" path
+            (Ace_verify.Verifier.errors_to_string ds);
+          None))
 
 let store_artifact cfg spec_str hash compiled =
   match cache_path cfg hash with

@@ -164,6 +164,10 @@ val artifact_hash :
 
 val artifact_of_compiled : spec:string -> hash:string -> Pipeline.compiled -> artifact
 val compiled_of_artifact : artifact -> Pipeline.compiled
+(** {!Pipeline.restore} on the artifact's fields.
+    @raise Ace_verify.Verifier.Rejected when the schedule fails the
+    verifier, e.g. a corrupted scale annotation in a file that decoded
+    cleanly. *)
 
 val encode_artifact : artifact -> string
 val decode_artifact : string -> (artifact, string) result

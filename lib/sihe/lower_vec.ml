@@ -171,7 +171,6 @@ let lower cfg src =
       map.(n.Irfunc.id) <- out_id;
       is_cipher.(n.Irfunc.id) <- out_cipher);
   Irfunc.set_returns dst (List.map lookup (Irfunc.returns src));
-  Verify.verify dst;
   dst
 
 let relu_depth cfg =

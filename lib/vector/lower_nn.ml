@@ -456,7 +456,6 @@ let lower cfg src =
       | op -> fail "cannot lower %s" (Op.name op));
   let rets = List.map (fun r -> vec_id ctx r) (Irfunc.returns src) in
   Irfunc.set_returns dst rets;
-  Verify.verify dst;
   (dst, List.map (fun r -> layout ctx r) (Irfunc.returns src))
 
 let rotation_amounts f =

@@ -56,6 +56,7 @@ let test_sihe_lowering_matches_vector () =
   let f = Import.import (conv_relu_graph ()) in
   let cfg = { Lower_nn.slots = 32; batch = 1; conv_regroup = true; gemm_bsgs = true } in
   let vf, _ = Lower_nn.lower cfg f in
+  Verify.verify vf;
   let sf = Lower_vec.lower { Lower_vec.relu_alpha = 5 } vf in
   Verify.verify sf;
   let lay = Lower_nn.input_layout cfg f in

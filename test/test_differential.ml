@@ -16,7 +16,6 @@
 module Differential = Ace_testkit.Differential
 module Graph_gen = Ace_testkit.Graph_gen
 module Pipeline = Ace_driver.Pipeline
-module Verifier = Ace_verify.Verifier
 
 let quick_seeds = [ 0; 1; 2; 3; 4 ]
 let full_seeds = List.init 20 (fun i -> 5 + i)
@@ -33,8 +32,8 @@ let pool_widths = [ 1; 4 ]
 
 let run_seed seed () =
   (* The verifier is part of the property: a graph that compiles with
-     diagnostics is a failure even if the numbers come out right. *)
-  Verifier.set_enabled true;
+     diagnostics is a failure even if the numbers come out right, and
+     [Pipeline.compile] always runs it. *)
   let case = Differential.prepare ~seed () in
   let outcomes =
     List.map (fun domains -> Differential.run_case ~domains case) pool_widths
@@ -65,7 +64,6 @@ let run_seed seed () =
    is not a property), and on these graphs the lazy compile must
    actually eliminate relinearisations. *)
 let run_lazy_seed seed () =
-  Verifier.set_enabled true;
   let cfg = Graph_gen.accumulation in
   let eager_strategy =
     { Pipeline.ace with Pipeline.strategy_name = "ace-eager"; lazy_passes = false }
@@ -141,7 +139,6 @@ let graphs_cover_shapes () =
    and off. Batched runs of one compile must also stay bit-identical
    across pool widths. *)
 let run_batch_seed seed () =
-  Verifier.set_enabled true;
   let batch = 4 in
   let eager_strategy =
     { Pipeline.ace with Pipeline.strategy_name = "ace-eager"; lazy_passes = false }

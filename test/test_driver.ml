@@ -33,6 +33,28 @@ let test_level_timings_recorded () =
     (fun (_, s) -> if s < 0.0 then Alcotest.fail "negative time")
     c.Pipeline.level_seconds
 
+(* The verifier stages are the compile time outside the five lowerings:
+   traced as compile.verify spans and summed into [other_seconds]. No
+   weights file is emitted, so there is no compile.other span. *)
+let test_compile_verify_span () =
+  let module T = Ace_telemetry.Telemetry in
+  let nn = Import.import (gemv ()) in
+  T.reset_trace ();
+  T.set_tracing true;
+  let t0 = Unix.gettimeofday () in
+  let c = Fun.protect ~finally:(fun () -> T.set_tracing false) (fun () ->
+      Pipeline.compile Pipeline.ace nn)
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let spans name = List.filter (fun e -> e.T.ev_name = name) (T.events ()) in
+  Alcotest.(check bool) "compile.verify span" true (spans "compile.verify" <> []);
+  Alcotest.(check int) "no compile.other span" 0 (List.length (spans "compile.other"));
+  let other = c.Pipeline.other_seconds in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 <= other_seconds %.4f <= wall %.4f" other wall)
+    true
+    (other >= 0.0 && other <= wall)
+
 let test_stats_shape () =
   let c = Pipeline.compile Pipeline.ace (Import.import (gemv ())) in
   let s = Stats.of_compiled c in
@@ -199,6 +221,7 @@ let test_tanh_lowering_accuracy () =
       [| Ace_ir.Irfunc.param f 0 |] (Ace_ir.Types.Vec 8) in
   Ace_ir.Irfunc.set_returns f [ n ];
   let sf = Ace_sihe.Lower_vec.lower Ace_sihe.Lower_vec.default f in
+  Ace_ir.Verify.verify sf;
   let xs = Array.init 8 (fun i -> -4.0 +. float_of_int i) in
   let got = Ace_sihe.Sihe_interp.run1 sf xs in
   Array.iteri
@@ -241,6 +264,7 @@ let () =
         [
           Alcotest.test_case "slots needed" `Quick test_slots_needed;
           Alcotest.test_case "level timings" `Quick test_level_timings_recorded;
+          Alcotest.test_case "compile.verify span" `Quick test_compile_verify_span;
           Alcotest.test_case "stats" `Quick test_stats_shape;
           Alcotest.test_case "strategy flags" `Quick test_strategy_flags;
           Alcotest.test_case "protocol roundtrip" `Quick test_protocol_roundtrip;

@@ -55,12 +55,20 @@ let test_uses_counting () =
   Alcotest.(check int) "a used twice" 2 uses.(a);
   Alcotest.(check int) "b used once (return)" 1 uses.(b)
 
+(* The fail-fast verifier is the collecting one: it fails exactly when
+   [well_formed] reports. *)
+let fail_fast_agrees f =
+  Alcotest.(check bool)
+    "verify_result fails iff well_formed reports" (Verify.well_formed ~pass:"test" f <> [])
+    (Result.is_error (Verify.verify_result f))
+
 let test_verifier_level_rule () =
   let f = Irfunc.create ~name:"f" ~level:Level.Vector ~params:[ ("x", vec8) ] in
   let x = Irfunc.param f 0 in
   (* SIHE op in a VECTOR function must be rejected. *)
   let bad = Irfunc.add f (Op.S_rotate 1) [| x |] vec8 in
   Irfunc.set_returns f [ bad ];
+  fail_fast_agrees f;
   match Verify.verify_result f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verifier accepted a SIHE op in a VECTOR function"
@@ -73,12 +81,14 @@ let test_verifier_allows_vector_in_sihe () =
   let p = Irfunc.add f Op.S_encode [| r |] Types.Plain in
   let out = Irfunc.add f Op.S_mul [| Irfunc.param f 0; p |] Types.Cipher in
   Irfunc.set_returns f [ out ];
+  fail_fast_agrees f;
   Verify.verify f
 
 let test_verifier_rejects_nonlinear_below_vector () =
   let f = Irfunc.create ~name:"f" ~level:Level.Sihe ~params:[ ("x", Types.Cipher) ] in
   let bad = Irfunc.add f (Op.V_nonlinear "relu") [| Irfunc.param f 0 |] Types.Cipher in
   Irfunc.set_returns f [ bad ];
+  fail_fast_agrees f;
   match Verify.verify_result f with
   | Error m ->
     Alcotest.(check bool) "mentions nonlinear" true
@@ -91,6 +101,7 @@ let test_verifier_type_rules () =
   let x = Irfunc.param f 0 in
   let bad = Irfunc.add f Op.C_mul [| x; x |] Types.Cipher in
   Irfunc.set_returns f [ bad ];
+  fail_fast_agrees f;
   (match Verify.verify_result f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "cipher*cipher should be cipher3");
@@ -99,6 +110,7 @@ let test_verifier_type_rules () =
   let m = Irfunc.add g Op.C_mul [| x; x |] Types.Cipher3 in
   let r = Irfunc.add g Op.C_relin [| m |] Types.Cipher in
   Irfunc.set_returns g [ r ];
+  fail_fast_agrees g;
   Verify.verify g
 
 let test_verifier_weight_shape () =
@@ -107,6 +119,7 @@ let test_verifier_weight_shape () =
   let w = Irfunc.add f (Op.Weight "w") [||] vec8 in
   (* 3 elements declared as vec<8> *)
   Irfunc.set_returns f [ w ];
+  fail_fast_agrees f;
   match Verify.verify_result f with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verifier accepted a weight shape mismatch"

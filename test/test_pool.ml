@@ -153,7 +153,6 @@ let pool_widths = [ 1; 4 ]
    generator in — its gemm layers re-extract rotation-batch elements, the
    exact aliasing shape that once broke the recycler. *)
 let run_pool_identity ?cfg seed () =
-  Ace_verify.Verifier.set_enabled true;
   let case = Differential.prepare ?cfg ~seed () in
   let run ~pooled domains =
     with_pool ~enabled:pooled ~debug:false @@ fun () ->

@@ -373,6 +373,64 @@ let test_artifact_cache_warm_restart () =
   Array.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) (Sys.readdir cache_dir);
   Unix.rmdir cache_dir
 
+(* A cache file that decodes cleanly but carries a schedule the verifier
+   rejects (one rescale's scale doubled) must not poison the model: the
+   daemon discards it, counts a miss, recompiles, and serves results
+   bit-identical to local inference. *)
+let test_rejected_artifact_recompiled () =
+  let cache_dir = Filename.temp_file "ace-cache" "" in
+  Sys.remove cache_dir;
+  Unix.mkdir cache_dir 0o755;
+  let c = Pipeline.compile ~batch:1 ~complex:false Pipeline.ace (Model_spec.nn spec) in
+  let spec_s = Model_spec.to_string spec in
+  let hash =
+    Wire.artifact_hash ~spec:spec_s ~strategy:Pipeline.ace ~batch:1 ~complex:false
+  in
+  let art =
+    match
+      Wire.decode_artifact (Wire.encode_artifact (Wire.artifact_of_compiled ~spec:spec_s ~hash c))
+    with
+    | Ok a -> a
+    | Error e -> failwith e
+  in
+  let bad = ref false in
+  Ace_ir.Irfunc.iter art.Wire.art_ckks (fun n ->
+      if (not !bad) && n.Ace_ir.Irfunc.op = Ace_ir.Op.C_rescale then begin
+        n.Ace_ir.Irfunc.scale <- 2.0 *. n.Ace_ir.Irfunc.scale;
+        bad := true
+      end);
+  Alcotest.(check bool) "gemv has a rescale to corrupt" true !bad;
+  let oc = open_out_bin (Filename.concat cache_dir (hash ^ ".aceart")) in
+  output_string oc (Wire.encode_artifact art);
+  close_out oc;
+  let image = random_image 81 in
+  let served =
+    with_server ~cache_dir (fun socket ->
+        let t, sess = prepare_tenant socket "alice" ~key_seed:3 in
+        Client.submit t sess ~request_id:"r" (Client.encrypt sess ~seed:93 image);
+        let out =
+          match Client.await_result t with
+          | Ok (_, blob) -> (
+            match Client.decrypt sess ~region:0 blob with Ok o -> o | Error e -> failwith e)
+          | Error e -> failwith e
+        in
+        (match Client.get_stats t with
+        | Ok s ->
+          Alcotest.(check int) "cache miss counted" 1 s.Wire.sv_cache_misses;
+          Alcotest.(check int) "no cache hit" 0 s.Wire.sv_cache_hits
+        | Error e -> Alcotest.fail e);
+        Client.close t;
+        out)
+  in
+  let keys = Pipeline.make_keys c ~seed:3 in
+  let local =
+    Pipeline.decrypt_output c keys
+      (Pipeline.run_encrypted c keys ~seed:0 (Pipeline.encrypt_input c keys ~seed:93 image))
+  in
+  Alcotest.(check bool) "served bit-identical to local" true (served = local);
+  Array.iter (fun f -> Sys.remove (Filename.concat cache_dir f)) (Sys.readdir cache_dir);
+  Unix.rmdir cache_dir
+
 (* --- drain --- *)
 
 let test_drain_stops_admission () =
@@ -409,6 +467,8 @@ let () =
             test_coalescing_merges_regions;
           Alcotest.test_case "artifact cache warm restart" `Quick
             test_artifact_cache_warm_restart;
+          Alcotest.test_case "rejected artifact is discarded and recompiled" `Quick
+            test_rejected_artifact_recompiled;
           Alcotest.test_case "drain stops admission" `Quick test_drain_stops_admission;
         ] );
     ]

@@ -8,7 +8,9 @@
    the offending IR node, never a crash and never a silent pass. *)
 
 module Verifier = Ace_verify.Verifier
-module Diagnostic = Ace_verify.Diagnostic
+module Diagnostic = Ace_ir.Diagnostic
+module Verify = Ace_ir.Verify
+module Scale_check = Ace_ckks_ir.Scale_check
 module Differential = Ace_testkit.Differential
 module Irfunc = Ace_ir.Irfunc
 module Op = Ace_ir.Op
@@ -46,13 +48,39 @@ let expect_diag ~what kind node ds =
       (Diagnostic.kind_name kind) node.Irfunc.id
       (if ds = [] then "no diagnostics" else Verifier.errors_to_string ds)
 
+(* The fail-fast wrapper is the collecting checker: [Scale_check.check]
+   raises [Bad_scales] naming the node of the first scale, level or
+   bootstrap-range diagnostic [Scale_check.diagnose] reports. *)
+let expect_bad_scales ~what ctx f ds =
+  let first =
+    List.find_opt
+      (fun d ->
+        List.mem d.Diagnostic.d_kind
+          Diagnostic.[ Scale_mismatch; Level_mismatch; Bootstrap_range ])
+      ds
+  in
+  let d =
+    match first with
+    | Some d -> d
+    | None -> Alcotest.failf "%s: no scale/level/bootstrap diagnostic" what
+  in
+  match Scale_check.check ctx f with
+  | () -> Alcotest.failf "%s: Scale_check.check passed" what
+  | exception Scale_check.Bad_scales msg ->
+    let needle = Printf.sprintf "node %%%d:" (Option.get d.Diagnostic.d_node) in
+    let rec mem i =
+      i + String.length needle <= String.length msg
+      && (String.sub msg i (String.length needle) = needle || mem (i + 1))
+    in
+    if not (mem 0) then Alcotest.failf "%s: Bad_scales %S does not name %s" what msg needle
+
 (* -- clean models ---------------------------------------------------- *)
 
 let clean_all_stages () =
   let c = (Lazy.force case).Differential.compiled in
   List.iter
     (fun (pass, f) ->
-      match Verifier.well_formed ~pass f with
+      match Verify.well_formed ~pass f with
       | [] -> ()
       | ds -> Alcotest.failf "%s: %s" pass (Verifier.errors_to_string ds))
     [
@@ -82,8 +110,9 @@ let corrupt_rescale () =
   let saved = n.Irfunc.scale in
   n.Irfunc.scale <- saved *. 2.0;
   Fun.protect ~finally:(fun () -> n.Irfunc.scale <- saved) @@ fun () ->
-  let ds = Verifier.ckks ~pass:"mutated" ~plan:(plan ()) (context ()) f in
-  expect_diag ~what:"doubled rescale scale" Diagnostic.Scale_mismatch n ds
+  let ds = Scale_check.diagnose ~pass:"mutated" ~plan:(plan ()) (context ()) f in
+  expect_diag ~what:"doubled rescale scale" Diagnostic.Scale_mismatch n ds;
+  expect_bad_scales ~what:"doubled rescale scale" (context ()) f ds
 
 let corrupt_rescale_level () =
   let f = ckks_fn () in
@@ -91,7 +120,8 @@ let corrupt_rescale_level () =
   let saved = n.Irfunc.node_level in
   n.Irfunc.node_level <- saved + 1;
   Fun.protect ~finally:(fun () -> n.Irfunc.node_level <- saved) @@ fun () ->
-  let ds = Verifier.ckks ~pass:"mutated" ~plan:(plan ()) (context ()) f in
+  let ds = Scale_check.diagnose ~pass:"mutated" ~plan:(plan ()) (context ()) f in
+  expect_bad_scales ~what:"rescale level+1" (context ()) f ds;
   if
     not
       (List.exists
@@ -122,7 +152,7 @@ let drop_rotation_key () =
         List.filter (fun k -> k <> step) p.Keygen_plan.rotation_steps;
     }
   in
-  let ds = Verifier.ckks ~pass:"mutated" ~plan:gutted (context ()) f in
+  let ds = Scale_check.diagnose ~pass:"mutated" ~plan:gutted (context ()) f in
   expect_diag
     ~what:(Printf.sprintf "plan without step %d" step)
     Diagnostic.Missing_rotation_key n ds
@@ -173,7 +203,7 @@ let detects_missing_returns () =
     Irfunc.create ~name:"no_ret" ~level:Ace_ir.Level.Ckks
       ~params:[ ("x", Ace_ir.Types.Cipher) ]
   in
-  let ds = Verifier.well_formed ~pass:"unit" f in
+  let ds = Verify.well_formed ~pass:"unit" f in
   Alcotest.(check bool)
     "No_returns reported" true
     (List.mem Diagnostic.No_returns (kinds ds))
@@ -187,10 +217,11 @@ let detects_bad_bootstrap_target () =
   (* [create] added the parameter as node 0. *)
   let b = Irfunc.add f (Op.C_bootstrap 0) [| 0 |] Ace_ir.Types.Cipher in
   Irfunc.set_returns f [ b ];
-  let ds = Verifier.ckks ~pass:"unit" ctx f in
+  let ds = Scale_check.diagnose ~pass:"unit" ctx f in
   Alcotest.(check bool)
     "Bootstrap_range reported" true
-    (List.mem Diagnostic.Bootstrap_range (kinds ds))
+    (List.mem Diagnostic.Bootstrap_range (kinds ds));
+  expect_bad_scales ~what:"bootstrap target 0" ctx f ds
 
 let verifier_never_crashes_on_garbage () =
   (* args pointing forward / out of range must become diagnostics, not
@@ -202,16 +233,10 @@ let verifier_never_crashes_on_garbage () =
   let m = Irfunc.add f Op.C_mul [| 0; 0 |] Ace_ir.Types.Cipher in
   Irfunc.set_returns f [ m ];
   (Irfunc.node f m).Irfunc.args.(1) <- 99;
-  let ds = Verifier.well_formed ~pass:"unit" f in
+  let ds = Verify.well_formed ~pass:"unit" f in
   Alcotest.(check bool)
     "Undefined_value reported" true
     (List.mem Diagnostic.Undefined_value (kinds ds))
-
-let enabled_knob () =
-  Verifier.set_enabled false;
-  Alcotest.(check bool) "off" false (Verifier.enabled ());
-  Verifier.set_enabled true;
-  Alcotest.(check bool) "on" true (Verifier.enabled ())
 
 let () =
   Alcotest.run "verify"
@@ -240,6 +265,5 @@ let () =
             detects_bad_bootstrap_target;
           Alcotest.test_case "garbage args become diagnostics" `Quick
             verifier_never_crashes_on_garbage;
-          Alcotest.test_case "ACE_VERIFY override knob" `Quick enabled_knob;
         ] );
     ]

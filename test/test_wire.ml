@@ -417,6 +417,41 @@ let test_artifact_restores_bit_identical_inference () =
     let y' = Pipeline.infer_encrypted c' (Pipeline.make_keys c' ~seed:5) ~seed:7 x in
     Alcotest.(check bool) "restored schedule serves bit-identical outputs" true (y = y')
 
+(* An artifact whose bytes decode cleanly can still carry a schedule the
+   verifier rejects: here one rescale claims its divide never happened.
+   Restoring it must name that node instead of handing the VM a function
+   every later execution would trip over. *)
+let test_artifact_bad_annotation_rejected () =
+  let c = Lazy.force compiled_gemv in
+  let spec = "gemv:16:4:3" in
+  let hash =
+    Wire.artifact_hash ~spec ~strategy:c.Pipeline.strategy ~batch:c.batch ~complex:false
+  in
+  (* A decoded copy, so the corruption leaves [c] intact. *)
+  match Wire.decode_artifact (Wire.encode_artifact (Wire.artifact_of_compiled ~spec ~hash c)) with
+  | Error e -> Alcotest.fail e
+  | Ok art -> (
+    let rescale =
+      Irfunc.fold art.Wire.art_ckks ~init:None ~f:(fun acc n ->
+          match (acc, n.Irfunc.op) with None, Ace_ir.Op.C_rescale -> Some n | _ -> acc)
+    in
+    let n = match rescale with Some n -> n | None -> Alcotest.fail "gemv has no rescale" in
+    n.Irfunc.scale <- 2.0 *. n.Irfunc.scale;
+    match Wire.decode_artifact (Wire.encode_artifact art) with
+    | Error e -> Alcotest.failf "corrupted artifact no longer decodes: %s" e
+    | Ok bad -> (
+      match Wire.compiled_of_artifact bad with
+      | _ -> Alcotest.fail "restore accepted a doubled rescale scale"
+      | exception Ace_verify.Verifier.Rejected ds ->
+        Alcotest.(check bool)
+          (Printf.sprintf "Scale_mismatch names rescale %%%d" n.Irfunc.id)
+          true
+          (List.exists
+             (fun d ->
+               d.Ace_ir.Diagnostic.d_kind = Ace_ir.Diagnostic.Scale_mismatch
+               && d.d_node = Some n.Irfunc.id)
+             ds)))
+
 let test_artifact_hash_sensitivity () =
   let s = Pipeline.ace in
   let h ~spec ~strategy ~batch ~complex = Wire.artifact_hash ~spec ~strategy ~batch ~complex in
@@ -499,6 +534,8 @@ let () =
           Alcotest.test_case "round-trip preserves every field" `Quick test_artifact_roundtrip;
           Alcotest.test_case "restored schedule infers bit-identically" `Quick
             test_artifact_restores_bit_identical_inference;
+          Alcotest.test_case "restore rejects a corrupted annotation" `Quick
+            test_artifact_bad_annotation_rejected;
           Alcotest.test_case "hash covers spec/strategy/batch/complex" `Quick
             test_artifact_hash_sensitivity;
         ] );

@@ -37,7 +37,7 @@ for lz in 0 1; do
     echo "== lazy smoke, ACE_LAZY=$lz ACE_DOMAINS=$d =="
     trace="/tmp/ace_trace_lazy${lz}_d${d}.json"
     rm -f "$trace"
-    ACE_VERIFY=1 ACE_LAZY=$lz ACE_DOMAINS=$d ACE_TRACE="$trace" \
+    ACE_LAZY=$lz ACE_DOMAINS=$d ACE_TRACE="$trace" \
       dune exec examples/accum_infer.exe >/dev/null
     dune exec tools/check_trace.exe -- "$trace" --require fhe.relinearize >/dev/null
   done
@@ -64,13 +64,13 @@ for b in 1 4; do
     echo "== batched smoke, ACE_BATCH=$b ACE_DOMAINS=$d =="
     trace="/tmp/ace_trace_batch${b}_d${d}.json"
     rm -f "$trace"
-    ACE_VERIFY=1 ACE_BATCH=$b ACE_DOMAINS=$d ACE_TRACE="$trace" \
+    ACE_BATCH=$b ACE_DOMAINS=$d ACE_TRACE="$trace" \
       dune exec examples/batch_infer.exe >/dev/null
   done
 done
 echo "== batched smoke, ACE_BATCH=8 ACE_DOMAINS=1 =="
 rm -f /tmp/ace_trace_batch8_d1.json
-ACE_VERIFY=1 ACE_BATCH=8 ACE_DOMAINS=1 ACE_TRACE=/tmp/ace_trace_batch8_d1.json \
+ACE_BATCH=8 ACE_DOMAINS=1 ACE_TRACE=/tmp/ace_trace_batch8_d1.json \
   dune exec examples/batch_infer.exe >/dev/null
 
 # The schedule must be batch-invariant: k requests ride in one ciphertext
@@ -117,12 +117,12 @@ dune exec tools/ace_report.exe -- "$mfile" --min-count request.latency 8 >/dev/n
 for p in 0 1; do
   for d in 1 4; do
     echo "== pooled smoke, ACE_POOL=$p ACE_DOMAINS=$d =="
-    ACE_VERIFY=1 ACE_POOL=$p ACE_DOMAINS=$d dune exec examples/accum_infer.exe >/dev/null
+    ACE_POOL=$p ACE_DOMAINS=$d dune exec examples/accum_infer.exe >/dev/null
   done
 done
 echo "== pool debug smoke, ACE_POOL_DEBUG=1 =="
-ACE_VERIFY=1 ACE_POOL=1 ACE_POOL_DEBUG=1 dune exec examples/accum_infer.exe >/dev/null
-ACE_VERIFY=1 ACE_POOL=1 ACE_POOL_DEBUG=1 dune exec examples/quickstart.exe >/dev/null
+ACE_POOL=1 ACE_POOL_DEBUG=1 dune exec examples/accum_infer.exe >/dev/null
+ACE_POOL=1 ACE_POOL_DEBUG=1 dune exec examples/quickstart.exe >/dev/null
 
 # Steady-state GC accountability: a pooled run with the metrics flusher on
 # must report the per-execution gc.* deltas (the zero-allocation serving
@@ -141,16 +141,13 @@ dune exec tools/check_trace.exe -- "$gtrace" --no-drops >/dev/null
 # request streams per slot — composed with the batch axis here (2x2 = 4
 # requests per ciphertext), verifier on.
 echo "== complex packing smoke, ACE_CPLX=1 ACE_BATCH=2 =="
-ACE_VERIFY=1 ACE_CPLX=1 ACE_BATCH=2 dune exec examples/batch_infer.exe >/dev/null
+ACE_CPLX=1 ACE_BATCH=2 dune exec examples/batch_infer.exe >/dev/null
 
-# Verifier smoke: the cross-level IR verifier (default-on, ACE_VERIFY)
-# must accept every example model with zero diagnostics — an explicit
-# ACE_VERIFY=1 run so a future default change can't silently skip it, and
-# an ACE_VERIFY=0 run to keep the disable path working.
-echo "== verifier smoke, ACE_VERIFY=1 =="
-ACE_VERIFY=1 dune exec examples/quickstart.exe >/dev/null
-ACE_VERIFY=1 dune exec examples/resnet_infer.exe >/dev/null
-ACE_VERIFY=0 dune exec examples/quickstart.exe >/dev/null
+# Verifier smoke: the cross-level IR verifier (always on) must accept
+# every example model with zero diagnostics.
+echo "== verifier smoke =="
+dune exec examples/quickstart.exe >/dev/null
+dune exec examples/resnet_infer.exe >/dev/null
 
 # Serving smoke: the ace-serve daemon end to end over a Unix domain
 # socket, across a batch x domains matrix.  Each cell starts a daemon
@@ -193,6 +190,6 @@ dune exec tools/ace_report.exe -- "$smetrics" \
 # at 1 and 4 domains with bit-identity across both.  (The full 25-graph suite runs with ACE_DIFF_FULL=1; CI keeps the
 # quick tier mandatory.)
 echo "== differential quick tier =="
-ACE_VERIFY=1 dune exec test/test_differential.exe
+dune exec test/test_differential.exe
 
 echo "CI OK"
