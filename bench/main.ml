@@ -28,7 +28,6 @@ module Resnet = Ace_models.Resnet
 module Dataset = Ace_models.Dataset
 module Keygen_plan = Ace_ckks_ir.Keygen_plan
 module Param_select = Ace_ckks_ir.Param_select
-module Cost = Ace_fhe.Cost
 module Telemetry = Ace_telemetry.Telemetry
 module Rng = Ace_util.Rng
 open Ace_ir
@@ -108,7 +107,9 @@ let run_one strategy spec image =
   let conv = phase_total snap "conv" +. phase_total snap "gemm" in
   let boot = phase_total snap "bootstrap" in
   let relu = phase_total snap "relu" in
-  let boots = Cost.get_count Cost.Bootstrap in
+  let boots =
+    match Telemetry.find_stats snap "fhe.bootstrap" with Some s -> s.Telemetry.st_count | None -> 0
+  in
   let targets =
     Irfunc.fold c.Pipeline.ckks ~init:[] ~f:(fun acc n ->
         match n.Irfunc.op with Op.C_bootstrap t -> t :: acc | _ -> acc)
@@ -168,7 +169,7 @@ let fig7 () =
         let limbs = Ace_fhe.Context.max_level c.Pipeline.context + 1 in
         (* Working set: keys + a conv's live ciphertexts + cleartext
            weights/masks kept for on-demand encoding. *)
-        let cts = 8 * Cost.ciphertext_bytes ~ring_degree:n ~limbs in
+        let cts = 8 * Ace_fhe.Ciphertext.ciphertext_bytes ~ring_degree:n ~limbs in
         let weights =
           8
           * List.fold_left
@@ -357,7 +358,6 @@ let ablation () =
       let c = Pipeline.compile strategy nn in
       let keys = Pipeline.make_keys c ~seed:9 in
       let s = Stats.of_compiled c in
-      Cost.reset ();
       let t0 = Unix.gettimeofday () in
       let got = Pipeline.infer_encrypted c keys ~seed:10 image in
       let dt = Unix.gettimeofday () -. t0 in
@@ -782,10 +782,10 @@ let json_bench ?(path = "BENCH_pr9.json") () =
   Printf.printf "fhe.key_switch tail: max %.4fs p50 %.4fs ratio %.1fx (bound %.0fx)\n%!"
     ks_max ks_p50 ks_ratio tail_bound;
   let stats_json = Stats.to_json (Stats.of_compiled (compiled Pipeline.ace Resnet.resnet20)) in
-  (* Cost-model accountability: the VM recorded a measured-µs-per-
+  (* Accountability of the cost model: the VM recorded a measured-µs-per-
      predicted-unit sample for every node it executed during the resnet20
      inference window; the folded table says how far Sched.node_cost's
-     RATIOS are from reality, per op category. *)
+     RATIOS are from reality, per op (Sched.fhe_op). *)
   let calibration =
     match infer_results with
     | (_, _, snap, _) :: _ -> Stats.calibration_of_snapshot snap

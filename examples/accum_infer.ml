@@ -1,11 +1,12 @@
 (* Accumulation-tree smoke: encrypted inference on a generated graph of
    wide Add trees over ct*ct products — the degree-2-heavy workload where
    lazy relinearisation collapses one relin per product into one per
-   reduction root. CI runs this under every {ACE_LAZY} x {ACE_DOMAINS}
-   combination with the verifier on, then compares the traced
-   fhe.relinearize counts between the lazy and eager runs.
+   reduction root. The [eager] argument compiles with the lazy passes
+   off. CI runs both variants at several ACE_DOMAINS with the verifier
+   on, then compares the traced fhe.relinearize counts between the lazy
+   and eager runs.
 
-   Run with: dune exec examples/accum_infer.exe *)
+   Run with: dune exec examples/accum_infer.exe [-- eager] *)
 
 module Pipeline = Ace_driver.Pipeline
 module Graph_gen = Ace_testkit.Graph_gen
@@ -17,10 +18,12 @@ let () =
   print_endline "== ANT-ACE accumulation-tree smoke ==";
   let graph = Graph_gen.generate ~cfg:Graph_gen.accumulation ~seed:100 () in
   let nn = Import.import graph in
-  let compiled = Pipeline.compile Pipeline.ace nn in
+  let eager = Array.length Sys.argv > 1 && Sys.argv.(1) = "eager" in
+  let strategy = { Pipeline.ace with Pipeline.lazy_passes = not eager } in
+  let compiled = Pipeline.compile strategy nn in
   let s = compiled.Pipeline.lazy_stats in
   Printf.printf "lazy passes %s: relins %d -> %d, rescales %d -> %d, deg2 high-water %d\n"
-    (if Pipeline.lazy_enabled Pipeline.ace then "on" else "off")
+    (if eager then "off" else "on")
     s.Ace_ckks_ir.Ckks_lazy.relins_eager s.Ace_ckks_ir.Ckks_lazy.relins_lazy
     s.Ace_ckks_ir.Ckks_lazy.rescales_eager s.Ace_ckks_ir.Ckks_lazy.rescales_lazy
     s.Ace_ckks_ir.Ckks_lazy.deg2_high_water;

@@ -10,7 +10,7 @@ module Pipeline = Ace_driver.Pipeline
 module Stats = Ace_driver.Stats
 module Resnet = Ace_models.Resnet
 module Dataset = Ace_models.Dataset
-module Cost = Ace_fhe.Cost
+module Telemetry = Ace_telemetry.Telemetry
 
 let () =
   let spec = Resnet.resnet20 in
@@ -36,17 +36,24 @@ let () =
   let data = Dataset.generate ~classes:spec.Resnet.classes ~image_size:spec.Resnet.image_size
       ~count:1 ~noise:0.08 ~seed:5 in
   let image = data.Dataset.images.(0) in
-  Cost.reset ();
+  Telemetry.reset_metrics ();
   let t0 = Unix.gettimeofday () in
   let encrypted_logits = Pipeline.infer_encrypted c keys ~seed:32 image in
   let dt = Unix.gettimeofday () -. t0 in
   let clear_logits = Ace_nn.Nn_interp.run1 nn image in
   Printf.printf "\nper-image encrypted inference: %.2fs\n" dt;
-  List.iter
-    (fun p -> Printf.printf "  phase %-10s %6.2fs\n" p (Cost.phase_time p))
-    (Cost.phase_names ());
+  let snap = Telemetry.snapshot () in
+  let with_prefix prefix f =
+    List.iter
+      (fun (st : Telemetry.metric_stats) ->
+        let name = st.Telemetry.st_name and k = String.length prefix in
+        if String.length name > k && String.sub name 0 k = prefix then
+          f (String.sub name k (String.length name - k)) st)
+      snap.Telemetry.snap_metrics
+  in
+  with_prefix "phase." (fun p st -> Printf.printf "  phase %-10s %6.2fs\n" p st.Telemetry.st_total);
   Printf.printf "homomorphic ops: ";
-  List.iter (fun (name, count, _) -> Printf.printf "%s=%d " name count) (Cost.report ());
+  with_prefix "fhe." (fun op st -> Printf.printf "%s=%d " op st.Telemetry.st_count);
   print_newline ();
   Printf.printf "\npredicted class: cleartext=%d encrypted=%d (label %d)\n"
     (Dataset.argmax clear_logits) (Dataset.argmax encrypted_logits) data.Dataset.labels.(0);

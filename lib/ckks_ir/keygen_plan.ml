@@ -1,5 +1,3 @@
-module Context = Ace_fhe.Context
-module Cost = Ace_fhe.Cost
 
 type plan = { rotation_steps : int list; decompose : int -> int list }
 
@@ -58,11 +56,4 @@ let rewrite_rotations p f =
       if m.Irfunc.origin = "" then m.Irfunc.origin <- n.Irfunc.origin;
       out)
 
-let evaluation_key_bytes ctx p =
-  let n = Context.ring_degree ctx in
-  let per_key =
-    Cost.switching_key_bytes ~ring_degree:n
-      ~digits:(Context.max_level ctx + 1)
-      ~key_limbs:(Context.max_level ctx + 2)
-  in
-  per_key * (1 + key_count p)
+let evaluation_key_bytes ctx p = Ace_fhe.Keys.switching_key_bytes ctx * (1 + key_count p)

@@ -5,7 +5,7 @@ type t = { free : int array array }
 
 let free_after t = t.free
 
-(* Cost model: weights are "limbs of pointwise work" — one unit is one
+(* The cost model: weights are "limbs of pointwise work" — one unit is one
    O(N) pass over a residue row. Calibrated against the telemetry p50s of
    BENCH_pr3 (key_switch 3.6ms at ~8 limbs ~ limbs^2 units of ~50us; add
    0.13ms ~ half a unit). The serving daemon prices requests with it and
@@ -41,19 +41,23 @@ let node_cost (n : Irfunc.node) =
   | Op.Param _ | Op.Weight _ | Op.Const_scalar _ -> 0.0
   | _ -> 0.05 (* surviving cleartext vector ops: host float loops *)
 
-(* Calibration buckets: one telemetry metric (calib.<category>) per
-   bucket collects measured-µs / predicted-units ratios, so a drifting
-   constant in [node_cost] shows up as that bucket's ratio diverging from
-   the others'. *)
-let node_category (n : Irfunc.node) =
+(* The op vocabulary: the [fhe.<op>] metric under which the evaluator
+   times the call a node makes, or [None] for nodes that make no timed
+   call. A C_mul is ct*ct or ct*pt by its second operand's type; an
+   upscale encodes its ones-plaintext (the bulk of its cost) before a
+   mult_plain. The VM's [calib.<op>] buckets and [Stats]' mult counts use
+   this one map. *)
+let fhe_op f (n : Irfunc.node) =
   match n.Irfunc.op with
-  | Op.C_relin | Op.C_rotate _ | Op.C_conj | Op.C_rotate_batch _ -> "key_switch"
-  | Op.C_mul | Op.C_mul_i -> "mul"
-  | Op.C_rescale -> "rescale"
-  | Op.C_encode | Op.C_encode_pair | Op.C_upscale _ -> "encode"
-  | Op.C_add | Op.C_sub | Op.C_neg -> "add"
-  | Op.C_bootstrap _ -> "bootstrap"
-  | _ -> "light"
+  | Op.C_add | Op.C_sub -> Some "add"
+  | Op.C_mul when Types.is_ciphertext (Irfunc.node f n.Irfunc.args.(1)).Irfunc.ty -> Some "mult"
+  | Op.C_mul | Op.C_mul_i -> Some "mult_plain"
+  | Op.C_relin -> Some "relinearize"
+  | Op.C_rotate _ | Op.C_rotate_batch _ | Op.C_conj -> Some "rotate"
+  | Op.C_rescale -> Some "rescale"
+  | Op.C_encode | Op.C_encode_pair | Op.C_upscale _ -> Some "encode"
+  | Op.C_bootstrap _ -> Some "bootstrap"
+  | _ -> None
 
 (* Program order is the execution order, so a value dies right after its
    last consumer runs. Returns are never released. A C_batch_get value is a

@@ -22,11 +22,14 @@ val node_cost : Ace_ir.Irfunc.node -> float
     wall-clock (the [calib.*] telemetry metrics) and so the serving
     daemon can price a request before running it. *)
 
-val node_category : Ace_ir.Irfunc.node -> string
-(** Calibration bucket of a node's op: ["key_switch"] (relin / rotate /
-    conjugate, incl. hoisted batches), ["mul"], ["rescale"], ["encode"],
-    ["add"], ["bootstrap"], or ["light"] (bookkeeping ops whose cost is
-    epsilon). The telemetry metric is [calib.<category>]. *)
+val fhe_op : Ace_ir.Irfunc.t -> Ace_ir.Irfunc.node -> string option
+(** The op vocabulary: [Some op] when the node's evaluator call is timed
+    as the telemetry metric [fhe.<op>] — ["add"], ["mult"] (a [C_mul]
+    whose second operand is a ciphertext), ["mult_plain"], ["relinearize"],
+    ["rotate"] (single, hoisted batch, conjugate), ["rescale"], ["encode"]
+    or ["bootstrap"] — and [None] for bookkeeping ops that make no timed
+    call (negation, mod switch, downscale, batch views, cleartext ops).
+    The executor's calibration metric for a node is [calib.<op>]. *)
 
 val sequential : Ace_ir.Irfunc.t -> t
 (** The release plan of program-order execution: each value is released

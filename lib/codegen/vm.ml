@@ -3,7 +3,6 @@ module Ciphertext = Fhe.Ciphertext
 module Eval = Fhe.Eval
 module Encoder = Fhe.Encoder
 module Context = Fhe.Context
-module Cost = Fhe.Cost
 module Telemetry = Ace_telemetry.Telemetry
 module Cplx = Fhe.Cplx
 open Ace_ir
@@ -27,21 +26,31 @@ type t = {
   pt_lock : Mutex.t;
   (* Release plan, built once per prepared VM and shared by every run. *)
   plan : Sched.t;
+  (* Per-node accounting handles, indexed by node id and resolved once per
+     prepared VM, so executing a node never takes the telemetry registry's
+     lock: the node's phase name and [phase.<name>] metric, and — for
+     nodes the cost model weighs — the [calib.<op>] metric with the
+     predicted units. *)
+  phases : (string * Telemetry.metric) array;
+  calib : (Telemetry.metric * float) option array;
 }
 
-let phase_of_origin origin =
-  match String.index_opt origin ':' with
-  | Some i -> (
-    match String.sub origin 0 i with
-    | "conv" -> "conv"
-    | "relu" -> "relu"
-    | "gemm" -> "gemm"
-    | "pool" -> "pool"
-    | _ -> "other")
-  | None -> "other"
+(* The Figure 6 phase of a node: bootstraps, else the NN operator its
+   origin names ("conv:3" -> conv). *)
+let phase_of (n : Irfunc.node) =
+  match n.Irfunc.op with
+  | Op.C_bootstrap _ -> "bootstrap"
+  | _ -> (
+    match String.index_opt n.Irfunc.origin ':' with
+    | Some i -> (
+      match String.sub n.Irfunc.origin 0 i with
+      | ("conv" | "relu" | "gemm" | "pool") as p -> p
+      | _ -> "other")
+    | None -> "other")
 
 let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
   if Irfunc.level func <> Level.Ckks then invalid_arg "Vm.prepare: not a CKKS function";
+  let nodes = Array.init (Irfunc.num_nodes func) (Irfunc.node func) in
   {
     keys;
     bootstrap;
@@ -49,6 +58,22 @@ let prepare ?(cache_plaintexts = false) ~keys ~bootstrap func =
     pt_cache = (if cache_plaintexts then Some (Hashtbl.create 256) else None);
     pt_lock = Mutex.create ();
     plan = Sched.sequential func;
+    phases =
+      Array.map
+        (fun n ->
+          let p = phase_of n in
+          (p, Telemetry.metric ("phase." ^ p)))
+        nodes;
+    (* Light ops are not calibrated: their measurement is clock noise,
+       not model signal. *)
+    calib =
+      Array.map
+        (fun n ->
+          let predicted = Sched.node_cost n in
+          match Sched.fhe_op func n with
+          | Some op when predicted >= 0.5 -> Some (Telemetry.metric ("calib." ^ op), predicted)
+          | _ -> None)
+        nodes;
   }
 
 type value =
@@ -199,43 +224,26 @@ let exec_node t values inputs (n : Irfunc.node) =
         ct_scale = c.Ciphertext.ct_scale /. r;
       }
   | Op.C_bootstrap target ->
-    Cost.count Cost.Bootstrap;
     V_ct (t.bootstrap ~node:n.Irfunc.id ~target_level:target (ct 0))
   | op -> invalid_arg ("Vm.run: unexpected op " ^ Op.name op)
 
-(* Cost-model accountability: one metric per Sched category collecting
-   measured-µs / predicted-units ratios. Pre-registered so the hot path
-   never takes the registry mutex; light/zero-weight ops are skipped —
-   their measurement is clock noise, not model signal. *)
-let calib_metrics =
-  lazy
-    (List.map
-       (fun c -> (c, Telemetry.metric ("calib." ^ c)))
-       [ "key_switch"; "mul"; "rescale"; "encode"; "add"; "bootstrap" ])
-
-let observe_calib (n : Irfunc.node) dt =
-  let predicted = Sched.node_cost n in
-  if predicted >= 0.5 then
-    match List.assoc_opt (Sched.node_category n) (Lazy.force calib_metrics) with
-    | Some m -> Telemetry.observe m (dt *. 1e6 /. predicted)
-    | None -> ()
-
-(* Timed wrapper: phase accounting plus the per-node span. [tag] carries
+(* Timed wrapper: phase accounting, the cost-model calibration sample
+   (measured µs per predicted unit) and the per-node span. [tag] carries
    request-attribution args (batch request ids) into every per-node span. *)
 let exec_timed ?(tag = []) t values inputs (n : Irfunc.node) =
-  let phase =
-    match n.Irfunc.op with
-    | Op.C_bootstrap _ -> "bootstrap"
-    | _ -> phase_of_origin n.Irfunc.origin
-  in
+  let id = n.Irfunc.id in
   let t0 = Unix.gettimeofday () in
   let result = exec_node t values inputs n in
-  let t1 = Unix.gettimeofday () in
-  Cost.add_phase_time phase (t1 -. t0);
-  observe_calib n (t1 -. t0);
-  Telemetry.emit_span ~cat:phase
-    ~args:(("origin", n.Irfunc.origin) :: tag)
-    ~name:("vm." ^ Op.name n.Irfunc.op) ~t0 ~dur:(t1 -. t0) ();
+  let dt = Unix.gettimeofday () -. t0 in
+  let phase, phase_metric = t.phases.(id) in
+  Telemetry.observe phase_metric dt;
+  (match t.calib.(id) with
+  | Some (m, predicted) -> Telemetry.observe m (dt *. 1e6 /. predicted)
+  | None -> ());
+  if Telemetry.tracing () then
+    Telemetry.emit_span ~cat:phase
+      ~args:(("origin", n.Irfunc.origin) :: tag)
+      ~name:("vm." ^ Op.name n.Irfunc.op) ~t0 ~dur:dt ();
   result
 
 let collect_returns f values =
@@ -256,7 +264,7 @@ let run_observed ?(tag = []) ~observe t inputs =
   let free = Sched.free_after t.plan in
   (* Per-NN-operator trace grouping: consecutive nodes sharing an origin
      (one conv, one relu block...) become a single enclosing span, so the
-     Chrome view nests per-FHE-op spans (from [Cost.timed]) under the NN
+     Chrome view nests the evaluator's [fhe.*] spans under the NN
      operator that issued them. Pure bookkeeping unless tracing is on. *)
   let cur_origin = ref "" in
   let cur_start = ref 0.0 in

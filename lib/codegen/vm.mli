@@ -42,10 +42,14 @@ val run :
     {!Ace_driver.Pipeline} passes the batch's request ids so a Chrome
     trace can be filtered per request.
 
-    Every executed node also feeds the cost-accountability metrics: a
-    [calib.<category>] observation of measured-µs / {!Sched.node_cost}
-    units (categories from {!Sched.node_category}; epsilon-weight
-    bookkeeping ops are skipped). *)
+    Every executed node credits its wall-clock time to its Figure 6 phase
+    metric [phase.<p>] — ["bootstrap"] for bootstraps, else the NN
+    operator of its origin: ["conv"], ["relu"], ["gemm"], ["pool"] or
+    ["other"] — and feeds the cost-accountability metric [calib.<op>]
+    with measured µs / {!Sched.node_cost} units, where [op] is
+    {!Sched.fhe_op}, the same name as the [fhe.<op>] metric the
+    evaluator times the call under (bookkeeping and epsilon-weight nodes
+    are skipped). *)
 
 val run_observed :
   ?tag:(string * string) list ->
@@ -57,7 +61,3 @@ val run_observed :
     compare against a cleartext shadow, log actual vs estimated error
     (paper Section 5 instrumentation). The observer runs on the VM's
     clock; keep it cheap unless you mean to pay for it. *)
-
-val phase_of_origin : string -> string
-(** Bucket a node origin into the Figure 6 categories: "conv", "relu",
-    "bootstrap", "gemm", "pool", "other". *)

@@ -82,17 +82,6 @@ type compiled = {
   other_seconds : float;
 }
 
-(* [ACE_LAZY] overrides the strategy's lazy relin/rescale toggle, mirroring
-   ACE_DOMAINS: a compiled-in default the environment can sweep without
-   recompiling callers. *)
-let lazy_enabled strategy =
-  match Sys.getenv_opt "ACE_LAZY" with
-  | None -> strategy.lazy_passes
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "0" | "off" | "false" | "no" -> false
-    | _ -> true)
-
 (* [ACE_BATCH] sets the default cross-request batch factor; an explicit
    [?batch] argument to [compile] overrides it, mirroring ACE_DOMAINS. *)
 let default_batch () =
@@ -227,7 +216,7 @@ let compile ?context ?batch ?complex strategy nn_input =
            rescale boundaries, so they must see final rescale placement but
            precede any pass that fixes rotation structure. *)
         let f, lazy_stats =
-          if lazy_enabled strategy then Ckks_lazy.run f else (f, Ckks_lazy.observe f)
+          if strategy.lazy_passes then Ckks_lazy.run f else (f, Ckks_lazy.observe f)
         in
         (* Complex packing rewrites AFTER the lazy passes (it wants final
            relin/rescale placement to classify regions) and BEFORE key

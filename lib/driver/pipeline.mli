@@ -23,8 +23,7 @@ type strategy = {
   lazy_rescale : bool;
   lazy_passes : bool;
       (** run {!Ace_ckks_ir.Ckks_lazy} (lazy relinearisation + sibling
-          rescale coalescing) after CKKS fusion; the [ACE_LAZY] environment
-          knob overrides this field *)
+          rescale coalescing) after CKKS fusion *)
   min_level_bootstrap : bool;
   pruned_keys : bool;
   hoist_rotations : bool;
@@ -75,10 +74,6 @@ type compiled = {
           file; callers that write one call
           {!Ace_codegen.C_backend.emit_weights_file} themselves. *)
 }
-
-val lazy_enabled : strategy -> bool
-(** Whether [compile] will run the lazy passes: the [ACE_LAZY] environment
-    knob if set, the strategy's [lazy_passes] field otherwise. *)
 
 val default_batch : unit -> int
 (** The [ACE_BATCH] environment knob (default 1): how many independent

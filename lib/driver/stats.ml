@@ -30,6 +30,12 @@ let count_op f pred = Irfunc.fold f ~init:0 ~f:(fun acc n -> if pred n.Irfunc.op
 
 let of_compiled (c : Pipeline.compiled) =
   let ckks = c.Pipeline.ckks in
+  let count_mul op =
+    Irfunc.fold ckks ~init:0 ~f:(fun acc n ->
+        match n.Irfunc.op with
+        | Op.C_mul when Ace_codegen.Sched.fhe_op ckks n = Some op -> acc + 1
+        | _ -> acc)
+  in
   {
     model = Irfunc.name c.Pipeline.nn;
     nodes_per_level =
@@ -65,20 +71,8 @@ let of_compiled (c : Pipeline.compiled) =
     (* A ct*ct multiply is a C_mul whose second operand is a ciphertext;
        counting C_relin instead undercounts once relinearisation is lazy
        (one deferred relin can close a whole accumulation tree). *)
-    ct_mults =
-      Irfunc.fold ckks ~init:0 ~f:(fun acc n ->
-          match n.Irfunc.op with
-          | Op.C_mul
-            when Types.is_ciphertext (Irfunc.node ckks n.Irfunc.args.(1)).Irfunc.ty ->
-            acc + 1
-          | _ -> acc);
-    pt_mults =
-      Irfunc.fold ckks ~init:0 ~f:(fun acc n ->
-          match n.Irfunc.op with
-          | Op.C_mul
-            when not (Types.is_ciphertext (Irfunc.node ckks n.Irfunc.args.(1)).Irfunc.ty) ->
-            acc + 1
-          | _ -> acc);
+    ct_mults = count_mul "mult";
+    pt_mults = count_mul "mult_plain";
     rescales = count_op ckks (function Op.C_rescale -> true | _ -> false);
     relins = c.Pipeline.lazy_stats.Ace_ckks_ir.Ckks_lazy.relins_lazy;
     relins_eliminated =

@@ -39,19 +39,19 @@ val to_json : t -> string
 (** One JSON object (no trailing newline), embedded by [bench --json] so
     BENCH artifacts are self-describing. *)
 
-(** {1 Cost-model calibration}
+(** {1 Calibration of the cost model}
 
     Runtime accountability of {!Ace_codegen.Sched.node_cost}: the VM
-    records, per op category, the distribution of measured-µs /
-    predicted-units ratios ([calib.<category>] metrics — see
-    {!Ace_codegen.Vm}). A snapshot of those metrics folds into this
+    records, per op, the distribution of measured-µs / predicted-units
+    ratios ([calib.<op>] metrics, named like the [fhe.<op>] metric that
+    times the same evaluator call — see {!Ace_codegen.Sched.fhe_op}). A snapshot of those metrics folds into this
     table: the reference is the sample-weighted mean µs-per-unit across
     op categories, and each category's error ratio is its own µs-per-unit
     against that reference — 1.0 everywhere means the model's ratios
     between categories are exact. *)
 
 type calibration_row = {
-  cal_category : string;  (** {!Ace_codegen.Sched.node_category} *)
+  cal_category : string;  (** the op, {!Ace_codegen.Sched.fhe_op} *)
   cal_samples : int;
   cal_us_per_unit_p50 : float;
   cal_us_per_unit_p99 : float;

@@ -1,6 +1,10 @@
 module Rng = Ace_util.Rng
+module Telemetry = Ace_telemetry.Telemetry
+
+let m_bootstrap = Telemetry.metric "fhe.bootstrap"
 
 let refresh keys ~rng ~target_level ct =
+  Telemetry.record m_bootstrap @@ fun () ->
   let ctx = keys.Keys.context in
   if target_level < 0 || target_level > Context.max_level ctx then
     invalid_arg "Bootstrap.refresh: bad target level";

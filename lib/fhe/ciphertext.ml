@@ -23,10 +23,13 @@ let mark_shared ct = Array.iter Rns_poly.mark_shared ct.polys
 
 let release_pt pt = Rns_poly.release pt.poly
 
+let poly_bytes ~ring_degree ~limbs = ring_degree * limbs * 8
+let ciphertext_bytes ~ring_degree ~limbs = 2 * poly_bytes ~ring_degree ~limbs
+
 let bytes ct =
   let p = ct.polys.(0) in
   Array.length ct.polys
-  * Cost.poly_bytes ~ring_degree:(Rns_poly.ring_degree p) ~limbs:(Rns_poly.num_limbs p)
+  * poly_bytes ~ring_degree:(Rns_poly.ring_degree p) ~limbs:(Rns_poly.num_limbs p)
 
 let pp fmt ct =
   Format.fprintf fmt "@[ct size=%d level=%d scale=2^%.2f@]" (size ct) (level ct)

@@ -26,6 +26,12 @@ val degree : ct -> int
 val scale_of : ct -> float
 val bytes : ct -> int
 
+val poly_bytes : ring_degree:int -> limbs:int -> int
+(** Memory of one RNS polynomial: one 8-byte word per coefficient per limb. *)
+
+val ciphertext_bytes : ring_degree:int -> limbs:int -> int
+(** Memory of a two-polynomial ciphertext. *)
+
 val release : ct -> unit
 (** Return every polynomial's rows to the limb pool. Only the last owner
     of a dead ciphertext may call this (the VM does, at the node computed

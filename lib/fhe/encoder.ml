@@ -1,9 +1,13 @@
 module Rns_poly = Ace_rns.Rns_poly
 module Bignum = Ace_util.Bignum
 module Crt = Ace_rns.Crt
+module Telemetry = Ace_telemetry.Telemetry
+
+let m_encode = Telemetry.metric "fhe.encode"
+let m_decode = Telemetry.metric "fhe.decode"
 
 let encode_complex ctx ~level ~scale (v : Cplx.t array) =
-  Cost.timed Cost.Encode @@ fun () ->
+  Telemetry.record m_encode @@ fun () ->
   let slots = Context.slots ctx in
   if Array.length v > slots then invalid_arg "Encoder.encode: too many slots";
   let vals = Array.make slots Cplx.zero in
@@ -26,7 +30,7 @@ let encode ctx ~level ~scale v =
   encode_complex ctx ~level ~scale (Array.map (fun x -> Cplx.make x 0.0) v)
 
 let decode_complex ctx (pt : Ciphertext.pt) =
-  Cost.timed Cost.Decrypt @@ fun () ->
+  Telemetry.record m_decode @@ fun () ->
   let poly = Rns_poly.to_coeff pt.poly in
   let slots = Context.slots ctx in
   let limbs = Rns_poly.num_limbs poly in

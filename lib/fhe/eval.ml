@@ -7,6 +7,19 @@ module Domain_pool = Ace_util.Domain_pool
 module Telemetry = Ace_telemetry.Telemetry
 open Ciphertext
 
+(* One [fhe.<op>] metric per evaluator operation, registered once. These
+   names are the runtime's op vocabulary: the VM's calibration buckets
+   ([calib.<op>]) use them too. *)
+let m_encrypt = Telemetry.metric "fhe.encrypt"
+let m_decrypt = Telemetry.metric "fhe.decrypt"
+let m_add = Telemetry.metric "fhe.add"
+let m_mult = Telemetry.metric "fhe.mult"
+let m_mult_plain = Telemetry.metric "fhe.mult_plain"
+let m_key_switch = Telemetry.metric "fhe.key_switch"
+let m_relinearize = Telemetry.metric "fhe.relinearize"
+let m_rotate = Telemetry.metric "fhe.rotate"
+let m_rescale = Telemetry.metric "fhe.rescale"
+
 exception Scale_mismatch of string
 exception Level_mismatch of string
 
@@ -85,7 +98,7 @@ let check_levels what a b =
   if a <> b then raise (Level_mismatch (Printf.sprintf "%s: levels %d vs %d" what a b))
 
 let encrypt_at_level keys ~rng ~level (pt : pt) =
-  Cost.timed Cost.Encrypt @@ fun () ->
+  Telemetry.record m_encrypt @@ fun () ->
   let ctx = keys.Keys.context in
   let crt = Context.crt ctx in
   let idx = Context.ciphertext_idx ctx ~level in
@@ -111,7 +124,7 @@ let encrypt_at_level keys ~rng ~level (pt : pt) =
 let encrypt keys ~rng pt = encrypt_at_level keys ~rng ~level:(Ciphertext.pt_level pt) pt
 
 let decrypt keys (ct : ct) =
-  Cost.timed Cost.Decrypt @@ fun () ->
+  Telemetry.record m_decrypt @@ fun () ->
   if size ct <> 2 then invalid_arg "Eval.decrypt: relinearize first";
   let idx = Array.init (level ct + 1) (fun i -> i) in
   let s = Rns_poly.restrict keys.Keys.secret ~chain_idx:idx in
@@ -129,7 +142,7 @@ let decrypt keys (ct : ct) =
    the sum of a relinearised and an unrelinearised value is just a
    degree-2 ciphertext whose s^2 component came from one side. *)
 let add (a : ct) (b : ct) =
-  Cost.timed Cost.Add @@ fun () ->
+  Telemetry.record m_add @@ fun () ->
   check_levels "add" (level a) (level b);
   check_scales "add" a.ct_scale b.ct_scale;
   let sa = size a and sb = size b in
@@ -148,7 +161,7 @@ let add (a : ct) (b : ct) =
   record_flight "add" { polys; ct_scale = a.ct_scale }
 
 let sub (a : ct) (b : ct) =
-  Cost.timed Cost.Add @@ fun () ->
+  Telemetry.record m_add @@ fun () ->
   check_levels "sub" (level a) (level b);
   check_scales "sub" a.ct_scale b.ct_scale;
   let sa = size a and sb = size b in
@@ -174,7 +187,7 @@ let sub (a : ct) (b : ct) =
 let neg (a : ct) = { a with polys = Array.map Rns_poly.neg a.polys }
 
 let add_plain (a : ct) (p : pt) =
-  Cost.timed Cost.Add @@ fun () ->
+  Telemetry.record m_add @@ fun () ->
   check_levels "add_plain" (level a) (Ciphertext.pt_level p);
   check_scales "add_plain" a.ct_scale p.pt_scale;
   (* Components 1.. are untouched by a plaintext add; clone them rather
@@ -194,7 +207,7 @@ let add_plain (a : ct) (p : pt) =
   record_flight "add_plain" { a with polys }
 
 let sub_plain (a : ct) (p : pt) =
-  Cost.timed Cost.Add @@ fun () ->
+  Telemetry.record m_add @@ fun () ->
   check_levels "sub_plain" (level a) (Ciphertext.pt_level p);
   check_scales "sub_plain" a.ct_scale p.pt_scale;
   let polys =
@@ -211,7 +224,7 @@ let sub_plain (a : ct) (p : pt) =
   record_flight "sub_plain" { a with polys }
 
 let mul_raw (a : ct) (b : ct) =
-  Cost.timed Cost.Mult @@ fun () ->
+  Telemetry.record m_mult @@ fun () ->
   check_levels "mul" (level a) (level b);
   if size a <> 2 || size b <> 2 then invalid_arg "Eval.mul: size-2 operands required";
   let a0 = Rns_poly.to_ntt a.polys.(0) and a1 = Rns_poly.to_ntt a.polys.(1) in
@@ -297,7 +310,7 @@ let mod_down ctx ~limbs acc =
    scratch rows come from {!Limb_pool}, keeping the steady-state inner
    loop free of per-digit allocation. *)
 let key_switch ctx (key : Keys.switching_key) d =
-  Cost.timed Cost.Key_switch @@ fun () ->
+  Telemetry.record m_key_switch @@ fun () ->
   let crt = Context.crt ctx in
   let n = Context.ring_degree ctx in
   let d_src = d in
@@ -357,7 +370,7 @@ type hoisted = {
 }
 
 let hoist ctx d =
-  Cost.timed Cost.Key_switch @@ fun () ->
+  Telemetry.record m_key_switch @@ fun () ->
   let crt = Context.crt ctx in
   let n = Context.ring_degree ctx in
   let d_src = d in
@@ -398,7 +411,7 @@ let release_hoisted h = Array.iter (Array.iter Limb_pool.release) h.h_ext
    a.(perm.(j)) IS the NTT of the automorphed digit (same canonical
    residues), so every partial sum matches. *)
 let key_switch_hoisted ctx (key : Keys.switching_key) h ~perm =
-  Cost.timed Cost.Key_switch @@ fun () ->
+  Telemetry.record m_key_switch @@ fun () ->
   let crt = Context.crt ctx in
   let n = Context.ring_degree ctx in
   let limbs = h.h_limbs in
@@ -424,7 +437,7 @@ let key_switch_hoisted ctx (key : Keys.switching_key) h ~perm =
   (mod_down ctx ~limbs acc0, mod_down ctx ~limbs acc1)
 
 let relinearize keys (ct : ct) =
-  Cost.timed Cost.Relinearize @@ fun () ->
+  Telemetry.record m_relinearize @@ fun () ->
   if size ct <> 3 then invalid_arg "Eval.relinearize: size-3 ciphertext required";
   let e0, e1 = key_switch keys.Keys.context keys.Keys.relin ct.polys.(2) in
   (* The key-switch corrections are freshly allocated, so flip and add in
@@ -447,7 +460,7 @@ let mul keys a b =
 let square keys a = mul keys a a
 
 let mul_plain (a : ct) (p : pt) =
-  Cost.timed Cost.Mult_plain @@ fun () ->
+  Telemetry.record m_mult_plain @@ fun () ->
   check_levels "mul_plain" (level a) (Ciphertext.pt_level p);
   let pe = Rns_poly.to_ntt p.poly in
   let polys =
@@ -474,7 +487,7 @@ let rotation_key_exn keys ~step g =
    eval-domain and coeff-domain paths commute exactly with the transforms,
    so results are bit-identical either way. *)
 let rotate keys (ct : ct) k =
-  Cost.timed Cost.Rotate @@ fun () ->
+  Telemetry.record m_rotate @@ fun () ->
   if size ct <> 2 then invalid_arg "Eval.rotate: relinearize first";
   let ctx = keys.Keys.context in
   let slots = Context.slots ctx in
@@ -504,11 +517,11 @@ let rotate keys (ct : ct) k =
    [steps] (same digits, same accumulation order, exact permutation), at
    roughly 1 + steps/limbs of the cost instead of steps times.
 
-   Each step is its own [Cost.Rotate] sample. Timing the whole batch as
+   Each step is its own [fhe.rotate] sample. Timing the whole batch as
    one observation made a 38-step bundle read as a single 170ms rotation —
    the fhe.rotate p99 "outlier" of the PR 3 benchmark was this accounting
    artifact, not a slow rotation. The shared hoist is attributed to
-   [Cost.Key_switch] (inside {!hoist}), where its cost actually sits. *)
+   [fhe.key_switch] (inside {!hoist}), where its cost actually sits. *)
 let rotate_batch keys (ct : ct) steps =
   if size ct <> 2 then invalid_arg "Eval.rotate_batch: relinearize first";
   let ctx = keys.Keys.context in
@@ -530,7 +543,7 @@ let rotate_batch keys (ct : ct) steps =
             ct
           end
           else
-            Cost.timed Cost.Rotate @@ fun () ->
+            Telemetry.record m_rotate @@ fun () ->
             let g = Keys.galois_of_rotation ctx k in
             let key = rotation_key_exn keys ~step:k g in
             let perm = Rns_poly.automorphism_perm crt ~galois:g in
@@ -549,7 +562,7 @@ let rotate_batch keys (ct : ct) steps =
   end
 
 let conjugate keys (ct : ct) =
-  Cost.timed Cost.Rotate @@ fun () ->
+  Telemetry.record m_rotate @@ fun () ->
   if size ct <> 2 then invalid_arg "Eval.conjugate: relinearize first";
   let ctx = keys.Keys.context in
   let g = Keys.galois_conjugate ctx in
@@ -603,7 +616,7 @@ let ntt_monomial_i crt =
     m
 
 let mul_i (ct : ct) =
-  Cost.timed Cost.Mult_plain @@ fun () ->
+  Telemetry.record m_mult_plain @@ fun () ->
   let crt = ct.polys.(0).Rns_poly.ctx in
   let m =
     Rns_poly.restrict (ntt_monomial_i crt) ~chain_idx:ct.polys.(0).Rns_poly.chain_idx
@@ -621,7 +634,7 @@ let mul_i (ct : ct) =
   record_flight "mul_i" { ct with polys }
 
 let rescale (ct : ct) =
-  Cost.timed Cost.Rescale @@ fun () ->
+  Telemetry.record m_rescale @@ fun () ->
   let l = level ct in
   if l < 1 then invalid_arg "Eval.rescale: bottom level";
   let p0 = ct.polys.(0) in

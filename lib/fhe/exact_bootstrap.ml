@@ -1,6 +1,9 @@
 module Rns_poly = Ace_rns.Rns_poly
 module Modarith = Ace_rns.Modarith
 module Crt = Ace_rns.Crt
+module Telemetry = Ace_telemetry.Telemetry
+
+let m_bootstrap = Telemetry.metric "fhe.bootstrap"
 
 type config = { taylor_degree : int; double_angles : int }
 
@@ -164,7 +167,7 @@ let eval_mod keys cfg ~eps (x : Ciphertext.ct) =
 (* ---- full pipeline ---- *)
 
 let bootstrap ?(config = default_config) keys ~target_level ct =
-  Cost.timed Cost.Bootstrap @@ fun () ->
+  Telemetry.record m_bootstrap @@ fun () ->
   let ctx = keys.Keys.context in
   let delta = Context.scale ctx in
   let chain = Context.max_level ctx in

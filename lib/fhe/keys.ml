@@ -153,11 +153,12 @@ let available_rotations t =
   done;
   List.rev !out
 
+(* One key holds a pair of polynomials over the extended basis (the chain
+   plus the special prime) per gadget digit, one digit per chain limb. *)
 let switching_key_bytes ctx =
-  let n = Context.ring_degree ctx in
-  Cost.switching_key_bytes ~ring_degree:n
-    ~digits:(Context.max_level ctx + 1)
-    ~key_limbs:(Context.max_level ctx + 2)
+  let digits = Context.max_level ctx + 1 in
+  digits * 2
+  * Ciphertext.poly_bytes ~ring_degree:(Context.ring_degree ctx) ~limbs:(Context.max_level ctx + 2)
 
 let evaluation_key_bytes t =
   switching_key_bytes t.context * (1 + Hashtbl.length t.galois)

@@ -60,6 +60,10 @@ val switching_key_for : t -> s_from:Ace_rns.Rns_poly.t -> rng:Ace_util.Rng.t -> 
 (** Generic switch-to-[secret] key for an arbitrary source secret (used for
     relinearisation, rotations and bootstrapping transitions). *)
 
+val switching_key_bytes : Context.t -> int
+(** Bytes of one switching key (relinearisation or one rotation) in
+    [ctx]: a polynomial pair over the extended basis per gadget digit. *)
+
 val evaluation_key_bytes : t -> int
 (** Total bytes of relinearisation plus rotation keys (Figure 7's
     "CKKS-Keys" quantity). *)

@@ -1,6 +1,6 @@
 (* Per-domain shards keyed by Domain.DLS: every recording path touches only
    the calling domain's buffers, so pool workers never contend or race
-   (PR 1's global Cost arrays dropped increments under ACE_DOMAINS>1).
+   (shared global counters drop increments under ACE_DOMAINS>1).
    Readers merge the shard registry, which only ever grows — a domain's
    data outlives the domain, so resizing the pool loses nothing.
 
@@ -273,6 +273,26 @@ let timed ?cat ?args name f =
   | v -> (v, finish ())
   | exception e ->
     ignore (finish ());
+    raise e
+
+let record m f =
+  incr m;
+  let t0 = Unix.gettimeofday () in
+  let finish () =
+    let dt = Unix.gettimeofday () -. t0 in
+    observe m dt;
+    if Atomic.get tracing_flag then begin
+      let name = metric_name m in
+      let cat = match String.index_opt name '.' with Some i -> String.sub name 0 i | None -> name in
+      emit_span ~cat ~name ~t0 ~dur:dt ()
+    end
+  in
+  match f () with
+  | v ->
+    finish ();
+    v
+  | exception e ->
+    finish ();
     raise e
 
 let events () =

@@ -77,6 +77,13 @@ val timed : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a
 (** Like {!span} but always measures, returning [(value, seconds)] —
     the compile-pipeline per-IR-level timer. *)
 
+val record : metric -> (unit -> 'a) -> 'a
+(** [record m f] runs [f] as one occurrence of [m]: it counts it, feeds
+    its wall-clock seconds to [m]'s sketch and, when tracing is on, emits
+    a span named after [m] (category: the name up to its first dot).
+    Exceptions are still counted and timed. The runtime's per-op
+    primitive: [fhe.<op>] metrics are recorded this way. *)
+
 val emit_span :
   ?cat:string -> ?args:(string * string) list -> name:string -> t0:float -> dur:float -> unit -> unit
 (** Record an already-measured interval ([t0] absolute

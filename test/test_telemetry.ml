@@ -1,7 +1,9 @@
 (* Observability layer: span recording and Chrome-JSON emission, the
-   domain-safe metric merge that fixed Cost's racy counters, histogram
-   quantiles, the ciphertext flight recorder, and the contract that
-   turning tracing on cannot change what the runtime computes. *)
+   domain-safe metric merge, histogram quantiles, the ciphertext flight
+   recorder, the runtime's one op vocabulary (every executed op timed
+   under its fhe.<op> metric, calibrated under the same name and credited
+   to its Figure 6 phase), and the contract that turning tracing on
+   cannot change what the runtime computes. *)
 module Telemetry = Ace_telemetry.Telemetry
 module Qsketch = Ace_telemetry.Qsketch
 module Json = Ace_telemetry.Json_lite
@@ -118,19 +120,6 @@ let test_counter_merge_across_domains () =
   Alcotest.(check int) "count identical at 4 domains" c1 c4;
   (* integer-valued samples: the merged sum is exact in both layouts *)
   Alcotest.(check (float 0.0)) "sum bit-identical" s1 s4
-
-let test_cost_facade_merge () =
-  with_domains 4 @@ fun () ->
-  Telemetry.reset_metrics ();
-  Domain_pool.parallel_for 500 (fun _ -> Ace_fhe.Cost.count Ace_fhe.Cost.Rotate);
-  Alcotest.(check int) "Cost counters survive multicore" 500
-    (Ace_fhe.Cost.get_count Ace_fhe.Cost.Rotate);
-  Ace_fhe.Cost.add_phase_time "conv" 0.25;
-  Ace_fhe.Cost.add_phase_time "conv" 0.25;
-  Alcotest.(check (float 1e-12)) "phase accumulation" 0.5 (Ace_fhe.Cost.phase_time "conv");
-  Alcotest.(check bool) "phase_names lists conv" true
-    (List.mem "conv" (Ace_fhe.Cost.phase_names ()));
-  Telemetry.reset_metrics ()
 
 (* ---- histogram quantiles ---- *)
 
@@ -541,6 +530,89 @@ let test_flight_lazy_region_monotone () =
   Alcotest.(check bool) "mul charged beyond its scale growth" true
     (enc.Telemetry.fl_budget_bits -. mul.Telemetry.fl_budget_bits > scale_loss +. 1.0)
 
+(* ---- one op vocabulary on a bootstrapping model ---- *)
+
+let conv_relu_graph () =
+  let b = Builder.create "convrelu" in
+  Builder.input b "x" [| 2; 4; 4 |];
+  Builder.init_normal b "w" [| 2; 2; 3; 3 |] ~seed:5 ~std:0.15;
+  Builder.init_normal b "bias" [| 2 |] ~seed:6 ~std:0.05;
+  Builder.node b ~op:"Conv" ~attrs:[ ("pads", Ace_onnx.Model.A_ints [ 1; 1; 1; 1 ]) ]
+    ~inputs:[ "x"; "w"; "bias" ] "c";
+  Builder.node b ~op:"Relu" ~inputs:[ "c" ] "r";
+  Builder.output b "r" [| 2; 4; 4 |];
+  Builder.finish b
+
+(* One traced encrypted inference of an ONNX conv -> relu model whose
+   depth-5 context forces bootstraps, shared by the tests below: the
+   compiled function, the metrics of the inference alone, and its spans. *)
+let bootstrapped_run =
+  lazy
+    (let nn = Import.import (conv_relu_graph ()) in
+     let ctx = Param_select.execution_context ~depth:5 ~slots:32 () in
+     let c = Pipeline.compile ~context:ctx Pipeline.ace nn in
+     let keys = Pipeline.make_keys c ~seed:45 in
+     let rng = Rng.create 17 in
+     let x = Array.init 32 (fun _ -> Rng.float rng 1.0 -. 0.5) in
+     Telemetry.reset_metrics ();
+     let events =
+       with_tracing @@ fun () ->
+       ignore (Pipeline.infer_encrypted c keys ~seed:8 x);
+       Telemetry.events ()
+     in
+     Telemetry.reset_trace ();
+     (c, Telemetry.snapshot (), events))
+
+let count_in snap name =
+  match Telemetry.find_stats snap name with Some st -> st.Telemetry.st_count | None -> 0
+
+let spans_named events name =
+  List.length (List.filter (fun e -> e.Telemetry.ev_name = name) events)
+
+let test_vm_bootstrap_and_decode () =
+  let c, snap, events = Lazy.force bootstrapped_run in
+  let boots = Ace_ckks_ir.Lower_sihe.bootstrap_count c.Pipeline.ckks in
+  Alcotest.(check bool) "model bootstraps" true (boots > 0);
+  Alcotest.(check int) "fhe.bootstrap counts every C_bootstrap" boots
+    (count_in snap "fhe.bootstrap");
+  Alcotest.(check bool) "fhe.bootstrap is timed" true
+    (match Telemetry.find_stats snap "fhe.bootstrap" with
+     | Some st -> st.Telemetry.st_total > 0.0
+     | None -> false);
+  Alcotest.(check int) "one fhe.bootstrap span per bootstrap" boots
+    (spans_named events "fhe.bootstrap");
+  (* Each refresh bootstrap decrypts once, and so does the one output. *)
+  Alcotest.(check int) "fhe.decrypt = bootstraps + outputs" (boots + 1)
+    (count_in snap "fhe.decrypt");
+  Alcotest.(check int) "fhe.decode is its own op" (boots + 1) (count_in snap "fhe.decode")
+
+let test_phases_and_vocabulary () =
+  let _, snap, _ = Lazy.force bootstrapped_run in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) ("phase." ^ p ^ " > 0") true
+        (match Telemetry.find_stats snap ("phase." ^ p) with
+         | Some st -> st.Telemetry.st_total > 0.0
+         | None -> false))
+    [ "conv"; "relu"; "bootstrap" ];
+  (* One vocabulary: every op the VM calibrated is an op the evaluator
+     timed under the same name. *)
+  let calibrated =
+    List.filter_map
+      (fun (st : Telemetry.metric_stats) ->
+        let name = st.Telemetry.st_name in
+        if String.length name > 6 && String.sub name 0 6 = "calib." then
+          Some (String.sub name 6 (String.length name - 6))
+        else None)
+      snap.Telemetry.snap_metrics
+  in
+  Alcotest.(check bool) "calib.* recorded" true (calibrated <> []);
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) ("calib." ^ op ^ " has fhe." ^ op) true
+        (count_in snap ("fhe." ^ op) > 0))
+    calibrated
+
 (* ---- per-layer debug runner ---- *)
 
 let test_debug_runner_layers () =
@@ -572,7 +644,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "merge 1 vs 4 domains" `Quick test_counter_merge_across_domains;
-          Alcotest.test_case "cost facade multicore" `Quick test_cost_facade_merge;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "delta snapshot window" `Quick test_delta_snapshot;
           Alcotest.test_case "JSONL flush re-merges" `Quick test_metrics_flush_jsonl;
@@ -589,6 +660,10 @@ let () =
           Alcotest.test_case "tracing on/off bit-identical" `Quick
             test_tracing_identical_ciphertexts;
           Alcotest.test_case "per-layer debug runner" `Quick test_debug_runner_layers;
+          Alcotest.test_case "bootstraps timed; decode not decrypt" `Quick
+            test_vm_bootstrap_and_decode;
+          Alcotest.test_case "phases and one op vocabulary" `Quick
+            test_phases_and_vocabulary;
         ] );
       ( "flight",
         [

@@ -7,7 +7,7 @@
    --count-of NAME validates as usual but then prints only the number of
    events named exactly NAME, so shell scripts can compare op counts
    across traces (CI asserts the fhe.relinearize count drops between an
-   ACE_LAZY=0 and an ACE_LAZY=1 run of the same model).
+   eager and a lazy compile of the same model).
 
    --no-drops fails the check when the trace's top-level droppedEvents
    member is nonzero (a shard's span buffer hit its cap, so the artifact

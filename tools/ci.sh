@@ -30,15 +30,17 @@ for d in 1 4; do
 done
 
 # Lazy-pass smoke matrix: the accumulation-tree model (the degree-2
-# workload) at every {ACE_LAZY} x {ACE_DOMAINS} combination with the
-# verifier on, each run traced.
+# workload) compiled eager (lazy passes off, lz=0) and lazy (lz=1) at
+# each ACE_DOMAINS with the verifier on, each run traced.
 for lz in 0 1; do
+  mode=""
+  [ "$lz" -eq 0 ] && mode="eager"
   for d in 1 4; do
-    echo "== lazy smoke, ACE_LAZY=$lz ACE_DOMAINS=$d =="
+    echo "== lazy smoke, lazy=$lz ACE_DOMAINS=$d =="
     trace="/tmp/ace_trace_lazy${lz}_d${d}.json"
     rm -f "$trace"
-    ACE_LAZY=$lz ACE_DOMAINS=$d ACE_TRACE="$trace" \
-      dune exec examples/accum_infer.exe >/dev/null
+    ACE_DOMAINS=$d ACE_TRACE="$trace" \
+      dune exec examples/accum_infer.exe -- $mode >/dev/null
     dune exec tools/check_trace.exe -- "$trace" --require fhe.relinearize >/dev/null
   done
 done
@@ -58,7 +60,8 @@ fi
 # ACE_DOMAINS, verifier on, each run traced.  batch_infer compiles
 # against a FIXED 16-region context regardless of ACE_BATCH, so the
 # traced homomorphic op counts are directly comparable across batch
-# factors.
+# factors.  The model bootstraps, so every trace must carry the VM's
+# fhe.bootstrap spans.
 for b in 1 4; do
   for d in 1 4; do
     echo "== batched smoke, ACE_BATCH=$b ACE_DOMAINS=$d =="
@@ -66,12 +69,14 @@ for b in 1 4; do
     rm -f "$trace"
     ACE_BATCH=$b ACE_DOMAINS=$d ACE_TRACE="$trace" \
       dune exec examples/batch_infer.exe >/dev/null
+    dune exec tools/check_trace.exe -- "$trace" --require fhe.bootstrap >/dev/null
   done
 done
 echo "== batched smoke, ACE_BATCH=8 ACE_DOMAINS=1 =="
 rm -f /tmp/ace_trace_batch8_d1.json
 ACE_BATCH=8 ACE_DOMAINS=1 ACE_TRACE=/tmp/ace_trace_batch8_d1.json \
   dune exec examples/batch_infer.exe >/dev/null
+dune exec tools/check_trace.exe -- /tmp/ace_trace_batch8_d1.json --require fhe.bootstrap >/dev/null
 
 # The schedule must be batch-invariant: k requests ride in one ciphertext
 # through the SAME homomorphic program, so the executed op counts at
