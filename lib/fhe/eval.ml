@@ -289,8 +289,7 @@ let mod_down ctx ~limbs acc =
       let p_inv = p_invs.(t) in
       let row = rows.(t) and dst = out.Rns_poly.data.(t) in
       for j = 0 to n - 1 do
-        let v = Array.unsafe_get sp_row j in
-        let c = if v > sp_half then v - sp_q else v in
+        let c = Modarith.center (Array.unsafe_get sp_row j) ~half:sp_half sp_q in
         Array.unsafe_set dst j (Ntt.reduce_scalar plan c)
       done;
       Ntt.forward plan dst;
@@ -300,6 +299,34 @@ let mod_down ctx ~limbs acc =
       done);
   Array.iter Limb_pool.release rows;
   out
+
+(* Gadget digit [i] of [d_src] lifted into basis prime [t_ci], in the
+   Eval domain; [d] is [d_src] in Coeff form. Off the diagonal the digit
+   is re-reduced into the target prime (exact: after the centered lift
+   each residue is a genuine small integer) and NTT'd in [scratch], which
+   is returned. On the diagonal ([t_ci = i]) the digit is row [i] itself:
+   when [d_src] is already in Eval that row IS its transform (the NTT is
+   a bijection on canonical residues, NTT(INTT(x)) = x) and is returned
+   as is, to be read and not written; otherwise it is copied and
+   transformed. *)
+let digit_in_eval crt ~d_src ~d ~i ~t_ci scratch =
+  if t_ci = i && Rns_poly.domain d_src = Rns_poly.Eval then d_src.Rns_poly.data.(i)
+  else begin
+    let n = Array.length scratch in
+    let plan = Crt.plan crt t_ci in
+    let row = d.Rns_poly.data.(i) in
+    if t_ci = i then Array.blit row 0 scratch 0 n
+    else begin
+      let src_q = Crt.modulus crt i in
+      let half = src_q / 2 in
+      for j = 0 to n - 1 do
+        let c = Modarith.center (Array.unsafe_get row j) ~half src_q in
+        Array.unsafe_set scratch j (Ntt.reduce_scalar plan c)
+      done
+    end;
+    Ntt.forward plan scratch;
+    scratch
+  end
 
 (* Key-switch a single polynomial [d] (any domain) with [key]; returns the
    (c0, c1) correction pair at [d]'s limb set. This is the shared core of
@@ -326,25 +353,12 @@ let key_switch ctx (key : Keys.switching_key) d =
       let plan = Crt.plan crt t_ci in
       Limb_pool.with_row n @@ fun digit_row ->
       for i = 0 to limbs - 1 do
-        let src_q = Crt.modulus crt i in
-        let half = src_q / 2 in
-        let row = d.Rns_poly.data.(i) in
         let kb, ka = key.Keys.digits.(i) in
         let kb', ka' = key.Keys.digits_shoup.(i) in
-        (* Digit i re-reduced into the target prime (exact: after the
-           centered lift each residue is a genuine small integer), then
-           NTT'd in place. *)
-        if t_ci = i then Array.blit row 0 digit_row 0 n
-        else
-          for j = 0 to n - 1 do
-            let v = Array.unsafe_get row j in
-            let c = if v > half then v - src_q else v in
-            Array.unsafe_set digit_row j (Ntt.reduce_scalar plan c)
-          done;
-        Ntt.forward plan digit_row;
-        Ntt.pointwise_mul_acc_shoup plan acc0.(k) digit_row (key_row ~special_ci kb t_ci)
+        let digit = digit_in_eval crt ~d_src ~d ~i ~t_ci digit_row in
+        Ntt.pointwise_mul_acc_shoup plan acc0.(k) digit (key_row ~special_ci kb t_ci)
           (key_row_shoup ~special_ci kb' t_ci);
-        Ntt.pointwise_mul_acc_shoup plan acc1.(k) digit_row (key_row ~special_ci ka t_ci)
+        Ntt.pointwise_mul_acc_shoup plan acc1.(k) digit (key_row ~special_ci ka t_ci)
           (key_row_shoup ~special_ci ka' t_ci)
       done);
   release_conv ~src:d_src d;
@@ -377,27 +391,18 @@ let hoist ctx d =
   let d = Rns_poly.to_coeff d in
   let limbs = Rns_poly.num_limbs d in
   let basis = key_basis ctx ~limbs in
-  (* (limbs+1) x limbs pool rows; every row is fully overwritten (blit or
-     lift loop, then the in-place forward transform). Freed by
+  (* (limbs+1) x limbs pool rows; every row is fully overwritten (a copy
+     of the Eval diagonal, or a blit or lift loop then the in-place
+     forward transform). Freed by
      [release_hoisted] once the rotation batch is done with them. *)
   let ext = Array.init (limbs + 1) (fun _ -> Array.init limbs (fun _ -> Limb_pool.acquire n)) in
   Domain_pool.parallel_for (limbs + 1) (fun k ->
       Telemetry.span ~cat:"fhe.worker" "hoist.basis" @@ fun () ->
       let t_ci = basis.(k) in
-      let plan = Crt.plan crt t_ci in
       for i = 0 to limbs - 1 do
-        let src_q = Crt.modulus crt i in
-        let half = src_q / 2 in
-        let row = d.Rns_poly.data.(i) in
         let dst = ext.(k).(i) in
-        if t_ci = i then Array.blit row 0 dst 0 n
-        else
-          for j = 0 to n - 1 do
-            let v = Array.unsafe_get row j in
-            let c = if v > half then v - src_q else v in
-            Array.unsafe_set dst j (Ntt.reduce_scalar plan c)
-          done;
-        Ntt.forward plan dst
+        let digit = digit_in_eval crt ~d_src ~d ~i ~t_ci dst in
+        if digit != dst then Array.blit digit 0 dst 0 n
       done);
   release_conv ~src:d_src d;
   { h_limbs = limbs; h_ext = ext }

@@ -37,6 +37,14 @@ val sub_plain : Ciphertext.ct -> Ciphertext.pt -> Ciphertext.ct
 val mul_raw : Ciphertext.ct -> Ciphertext.ct -> Ciphertext.ct
 (** Tensor product; result has three polynomials (the paper's Cipher3). *)
 
+val key_switch :
+  Context.t -> Keys.switching_key -> Ace_rns.Rns_poly.t -> Ace_rns.Rns_poly.t * Ace_rns.Rns_poly.t
+(** [key_switch ctx key d]: the gadget key switch under {!relinearize}
+    and {!rotate}. Returns the Eval-domain correction pair [(c0, c1)] at
+    [d]'s limb set. [d] may be in either domain and the result is
+    bit-identical for both; an Eval [d] skips the diagonal digits'
+    forward transforms. *)
+
 val relinearize : Keys.t -> Ciphertext.ct -> Ciphertext.ct
 (** Reduce a size-3 ciphertext back to size 2 with the relin key. *)
 

@@ -1,16 +1,29 @@
 let max_modulus_bits = 31
 
-let add a b ~modulus =
-  let s = a + b in
-  if s >= modulus then s - modulus else s
+(* Branch-free corrections. ocamlopt emits no conditional move, so an
+   [if x >= m then x - m else x] in a per-coefficient loop compiles to a
+   data-dependent branch that mispredicts about half the time on uniform
+   residues. OCaml ints are 63-bit, so [d asr 62] is all ones when
+   [d < 0] and zero otherwise: masking [m] with it adds [m] back exactly
+   when the subtraction went negative. *)
 
-let sub a b ~modulus =
-  let d = a - b in
-  if d < 0 then d + modulus else d
+let[@inline] csub x m =
+  let d = x - m in
+  d + (m land (d asr 62))
+
+let[@inline] cadd d m = d + (m land (d asr 62))
+
+let[@inline] center x ~half m = x - (m land ((half - x) asr 62))
+
+let[@inline] add a b ~modulus = csub (a + b) modulus
+
+let[@inline] sub a b ~modulus = cadd (a - b) modulus
 
 let mul a b ~modulus = a * b mod modulus
 
-let neg a ~modulus = if a = 0 then 0 else modulus - a
+(* [a lor (-a)] has its sign bit set for every [a <> 0], so the mask
+   clears [modulus - a] exactly when [a = 0]. *)
+let[@inline] neg a ~modulus = (modulus - a) land ((a lor (-a)) asr 62)
 
 let pow b e ~modulus =
   if e < 0 then invalid_arg "Modarith.pow: negative exponent";
@@ -27,8 +40,6 @@ let inv a ~modulus =
   if a mod modulus = 0 then invalid_arg "Modarith.inv: zero";
   pow a (modulus - 2) ~modulus
 
-let reduce a ~modulus =
-  let r = a mod modulus in
-  if r < 0 then r + modulus else r
+let[@inline] reduce a ~modulus = cadd (a mod modulus) modulus
 
-let centered a ~modulus = if a > modulus / 2 then a - modulus else a
+let[@inline] centered a ~modulus = center a ~half:(modulus / 2) modulus

@@ -2,7 +2,15 @@
    precompute w' = floor(w * 2^31 / q); then
        mulmod(x, w) = x*w - (x*w' >> 31)*q, corrected by one subtraction.
    All products stay below 2^62, inside OCaml's native int. This replaces
-   the hardware division of [mod] in the transform's inner loop. *)
+   the hardware division of [mod] in the transform's inner loop.
+
+   No per-coefficient loop here branches on data: every correction is a
+   [Modarith.csub]/[cadd] mask. ocamlopt emits no conditional move, and
+   on uniform residues an [if r >= q] mispredicts about half the time,
+   which cost more than the arithmetic it guards. *)
+
+let csub = Modarith.csub
+let cadd = Modarith.cadd
 
 type plan = {
   modulus : int;
@@ -19,6 +27,7 @@ type plan = {
   barrett_mu : int;
   barrett_a : int;
   barrett_b : int;
+  barrett_wide : bool;
   psi_pows : int array;
   psi_pows_shoup : int array;
   psi_inv_pows : int array;
@@ -40,31 +49,41 @@ let shoup w q = (w lsl 31) / q
 
 let shoup_of q a = Array.map (fun w -> shoup w q) a
 
-(* Integer Barrett parameters for reducing products x*y < q^2 < 2^62.
-   With k the bit-width of q, mu = floor(2^(2k) / q) and the quotient
-   estimate  quot = ((p >> (k-1)) * mu) >> (k+1)  satisfies the classic
-   bounds 0 <= p - quot*q < 4q with every intermediate below 2^62 for
-   k <= 30. At k = 31 those shifts would overflow, so the widest moduli
-   use mu = floor(2^62 / q) with shifts (32, 30); the looser estimate is
-   still within 7q of the true remainder. The float-quotient variant this
-   replaces lost bits once x*y crossed 2^53, where "off by at most one"
-   no longer holds. *)
+(* Integer Barrett reduction of a product p = x*y < q^2, with k the
+   bit-width of q (2^(k-1) <= q < 2^k):
+       quot = ((p >> a) * mu) >> b,   mu = floor(2^(a+b) / q).
+   quot never exceeds p/q, and dropping p's low a bits, truncating mu and
+   flooring the product lose less than 2^a/q + p/2^(a+b) + 1 of it, so
+   0 <= p - quot*q < (1 + 2^a/q + p/2^(a+b)) * q. The product
+   (p >> a) * mu stays below q * 2^b, so b <= 62 - k keeps it inside
+   OCaml's 63-bit int.
+   - k <= 29 (every chain prime): a = k-3, b = 62-k; 2^a/q <= 1/4 and
+     p/2^59 < 1/2, so the remainder is below 2q.
+   - k = 30: a = 28, b = 32; below 2.5q.
+   - k = 31: a = b = 31 with mu = floor((2^62-1)/q) (equal to
+     floor(2^62/q) for odd q); below 4q.
+   [barrett_mul] corrects by q, preceded by 2q for k >= 30. Which of the
+   two it runs is a branch on the plan, not on data: every element of a
+   loop takes the same arm, so it is always predicted. The float-quotient
+   variant this replaces lost bits once x*y crossed 2^53, where "off by
+   at most one" no longer holds. *)
 let barrett_params q =
   let bits =
     let rec go b n = if n = 0 then b else go (b + 1) (n lsr 1) in
     go 0 q
   in
-  if bits <= 30 then ((1 lsl (2 * bits)) / q, bits - 1, bits + 1)
-  else (max_int / q, 32, 30)
+  let a, b =
+    if bits <= 29 then (max 0 (bits - 3), 62 - bits) else if bits = 30 then (28, 32) else (31, 31)
+  in
+  let mu = if a + b = 62 then max_int / q else (1 lsl (a + b)) / q in
+  (mu, a, b, bits >= 30)
 
 let[@inline] barrett_mul p x y =
   let prod = x * y in
   let quot = ((prod asr p.barrett_a) * p.barrett_mu) asr p.barrett_b in
-  let r = ref (prod - (quot * p.modulus)) in
-  while !r >= p.modulus do
-    r := !r - p.modulus
-  done;
-  !r
+  let q = p.modulus in
+  let r = prod - (quot * q) in
+  if p.barrett_wide then csub (csub r p.two_q) q else csub r q
 
 let make ~modulus ~ring_degree =
   if not (is_pow2 ring_degree) then invalid_arg "Ntt.make: degree not a power of two";
@@ -114,7 +133,7 @@ let make ~modulus ~ring_degree =
     done;
     bitrev.(i) <- !r
   done;
-  let barrett_mu, barrett_a, barrett_b = barrett_params modulus in
+  let barrett_mu, barrett_a, barrett_b, barrett_wide = barrett_params modulus in
   {
     modulus;
     n;
@@ -124,6 +143,7 @@ let make ~modulus ~ring_degree =
     barrett_mu;
     barrett_a;
     barrett_b;
+    barrett_wide;
     psi_pows;
     psi_pows_shoup = shoup_of modulus psi_pows;
     psi_inv_pows;
@@ -150,8 +170,7 @@ let permute_bitrev p a =
 
 let[@inline] mul_shoup x w w' q =
   let t = (x * w') lsr 31 in
-  let r = (x * w) - (t * q) in
-  if r >= q then r - q else r
+  csub ((x * w) - (t * q)) q
 
 let cyclic_ntt p stages stages_shoup a =
   let q = p.modulus in
@@ -167,17 +186,15 @@ let cyclic_ntt p stages stages_shoup a =
         let u = Array.unsafe_get a (base + j) in
         let x = Array.unsafe_get a (base + j + half) in
         let v = mul_shoup x (Array.unsafe_get tw j) (Array.unsafe_get tw' j) q in
-        let s1 = u + v in
-        Array.unsafe_set a (base + j) (if s1 >= q then s1 - q else s1);
-        let d = u - v in
-        Array.unsafe_set a (base + j + half) (if d < 0 then d + q else d)
+        Array.unsafe_set a (base + j) (csub (u + v) q);
+        Array.unsafe_set a (base + j + half) (cadd (u - v) q)
       done;
       i := base + len
     done
   done
 
 (* Harvey-style lazy stage loop: operands live in [0, 4q). Each butterfly
-   pays one conditional subtract (u -= 2q when u >= 2q) instead of two,
+   pays one correction (u -= 2q when u >= 2q) instead of two,
    and the Shoup product skips its correction entirely — for x < 2^31 the
    uncorrected  x*w - ((x*w') >> 31)*q  already lies in [0, 2q). Outputs
    u + v < 4q and u - v + 2q < 4q re-establish the invariant. Callers
@@ -195,7 +212,7 @@ let cyclic_ntt_lazy p stages stages_shoup a =
       let base = !i in
       for j = 0 to half - 1 do
         let u = Array.unsafe_get a (base + j) in
-        let u = if u >= q2 then u - q2 else u in
+        let u = csub u q2 in
         let x = Array.unsafe_get a (base + j + half) in
         let v = (x * Array.unsafe_get tw j) - (((x * Array.unsafe_get tw' j) lsr 31) * q) in
         Array.unsafe_set a (base + j) (u + v);
@@ -218,9 +235,7 @@ let forward p a =
     cyclic_ntt_lazy p p.omega_stage p.omega_stage_shoup a;
     let q = p.modulus and q2 = p.two_q in
     for i = 0 to p.n - 1 do
-      let v = Array.unsafe_get a i in
-      let v = if v >= q2 then v - q2 else v in
-      Array.unsafe_set a i (if v >= q then v - q else v)
+      Array.unsafe_set a i (csub (csub (Array.unsafe_get a i) q2) q)
     done
   end
   else cyclic_ntt p p.omega_stage p.omega_stage_shoup a
@@ -244,8 +259,7 @@ let pointwise_mul_acc p dst a b =
   let q = p.modulus in
   for i = 0 to p.n - 1 do
     let r = barrett_mul p (Array.unsafe_get a i) (Array.unsafe_get b i) in
-    let s = Array.unsafe_get dst i + r in
-    Array.unsafe_set dst i (if s >= q then s - q else s)
+    Array.unsafe_set dst i (csub (Array.unsafe_get dst i + r) q)
   done
 
 (* dst += a[perm[i]] * b[i] mod q: the hoisted-rotation inner loop, where
@@ -258,8 +272,7 @@ let pointwise_mul_acc_gather p dst a perm b =
   for i = 0 to p.n - 1 do
     let x = Array.unsafe_get a (Array.unsafe_get perm i) in
     let r = barrett_mul p x (Array.unsafe_get b i) in
-    let s = Array.unsafe_get dst i + r in
-    Array.unsafe_set dst i (if s >= q then s - q else s)
+    Array.unsafe_set dst i (csub (Array.unsafe_get dst i + r) q)
   done
 
 (* Per-element Shoup companions for a fixed eval-domain operand (a key
@@ -273,8 +286,7 @@ let pointwise_mul_acc_shoup p dst a b b' =
     let r =
       mul_shoup (Array.unsafe_get a i) (Array.unsafe_get b i) (Array.unsafe_get b' i) q
     in
-    let s = Array.unsafe_get dst i + r in
-    Array.unsafe_set dst i (if s >= q then s - q else s)
+    Array.unsafe_set dst i (csub (Array.unsafe_get dst i + r) q)
   done
 
 let pointwise_mul_acc_gather_shoup p dst a perm b b' =
@@ -282,15 +294,12 @@ let pointwise_mul_acc_gather_shoup p dst a perm b b' =
   for i = 0 to p.n - 1 do
     let x = Array.unsafe_get a (Array.unsafe_get perm i) in
     let r = mul_shoup x (Array.unsafe_get b i) (Array.unsafe_get b' i) q in
-    let s = Array.unsafe_get dst i + r in
-    Array.unsafe_set dst i (if s >= q then s - q else s)
+    Array.unsafe_set dst i (csub (Array.unsafe_get dst i + r) q)
   done
 
 (* Exact scalar reduction of any native int into [0, q): used by kernels
    that re-reduce centered digits across primes. *)
-let reduce_scalar p v =
-  let r = v mod p.modulus in
-  if r < 0 then r + p.modulus else r
+let reduce_scalar p v = Modarith.reduce v ~modulus:p.modulus
 
 let negacyclic_convolution p a b =
   let fa = Array.copy a and fb = Array.copy b in

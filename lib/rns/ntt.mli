@@ -24,10 +24,11 @@ val inverse : plan -> int array -> unit
 (** In-place inverse; exact round-trip with {!forward}. *)
 
 val pointwise_mul : plan -> int array -> int array -> int array -> unit
-(** [pointwise_mul p dst a b] writes the element-wise modular product. [dst]
-    may alias [a] or [b]. Products are reduced with a precomputed integer
-    Barrett constant (exact for every supported modulus width, unlike a
-    53-bit float quotient). *)
+(** [pointwise_mul p dst a b] writes the element-wise modular product of
+    canonical residues. [dst] may alias [a] or [b]. Products are reduced
+    with a precomputed integer Barrett constant (exact for every supported
+    modulus width, unlike a 53-bit float quotient) and fixed, branch-free
+    corrections. *)
 
 val pointwise_mul_acc : plan -> int array -> int array -> int array -> unit
 (** [pointwise_mul_acc p dst a b]: [dst.(i) <- dst.(i) + a.(i)*b.(i) mod q]

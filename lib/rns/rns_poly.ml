@@ -148,24 +148,10 @@ let coeff_inplace t =
 
 let in_domain d t = match d with Coeff -> to_coeff t | Eval -> to_ntt t
 
-let map2 f a b =
-  check_compatible a b;
-  let n = ring_degree a in
-  let data = Limb_pool.acquire_slab ~n ~limbs:(num_limbs a) in
-  Domain_pool.parallel_for ~min_chunk:light_limb_grain (num_limbs a) (fun k ->
-      let q = Crt.modulus a.ctx a.chain_idx.(k) in
-      let xa = a.data.(k) and xb = b.data.(k) and d = data.(k) in
-      for i = 0 to n - 1 do
-        Array.unsafe_set d i (f (Array.unsafe_get xa i) (Array.unsafe_get xb i) q)
-      done);
-  { a with data; pooled = true }
-
-let add a b = map2 (fun x y q -> Modarith.add x y ~modulus:q) a b
-let sub a b = map2 (fun x y q -> Modarith.sub x y ~modulus:q) a b
-
-(* Allocation-free binary variants: write limb rows of [dst] in place.
-   [dst] must have the same shape as the operands and may alias either
-   one; rows are overwritten index by index, never resized. *)
+(* In-place binary ops: write limb rows of [dst] in place. [dst] must
+   have the same shape as the operands and may alias either one; rows
+   are overwritten index by index, never resized. [add]/[sub] run the
+   same loops into a fresh slab. *)
 
 let add_into ~dst a b =
   check_compatible a b;
@@ -174,8 +160,7 @@ let add_into ~dst a b =
       let q = Crt.modulus a.ctx a.chain_idx.(k) in
       let xa = a.data.(k) and xb = b.data.(k) and d = dst.data.(k) in
       for i = 0 to Array.length d - 1 do
-        let s = Array.unsafe_get xa i + Array.unsafe_get xb i in
-        Array.unsafe_set d i (if s >= q then s - q else s)
+        Array.unsafe_set d i (Modarith.add (Array.unsafe_get xa i) (Array.unsafe_get xb i) ~modulus:q)
       done);
   dst
 
@@ -186,10 +171,15 @@ let sub_into ~dst a b =
       let q = Crt.modulus a.ctx a.chain_idx.(k) in
       let xa = a.data.(k) and xb = b.data.(k) and d = dst.data.(k) in
       for i = 0 to Array.length d - 1 do
-        let s = Array.unsafe_get xa i - Array.unsafe_get xb i in
-        Array.unsafe_set d i (if s < 0 then s + q else s)
+        Array.unsafe_set d i (Modarith.sub (Array.unsafe_get xa i) (Array.unsafe_get xb i) ~modulus:q)
       done);
   dst
+
+let fresh_like a =
+  { a with data = Limb_pool.acquire_slab ~n:(ring_degree a) ~limbs:(num_limbs a); pooled = true }
+
+let add a b = add_into ~dst:(fresh_like a) a b
+let sub a b = sub_into ~dst:(fresh_like a) a b
 
 let neg a =
   let n = ring_degree a in
@@ -348,7 +338,7 @@ let automorphism ~galois t =
         for i = 0 to n - 1 do
           let v = Array.unsafe_get x i in
           let e = Array.unsafe_get dest i in
-          Array.unsafe_set out e (if Array.unsafe_get flip i then (if v = 0 then 0 else q - v) else v)
+          Array.unsafe_set out e (if Array.unsafe_get flip i then Modarith.neg v ~modulus:q else v)
         done);
     { t with data; pooled = true }
   | Eval ->
@@ -432,6 +422,7 @@ let rescale t =
   let top_ci = t.chain_idx.(l - 1) in
   let q_top = Crt.modulus t.ctx top_ci in
   let top = t.data.(l - 1) in
+  let half = q_top / 2 in
   let n = ring_degree t in
   (* Pre-resolve the per-limb inverses before the parallel region so the
      Crt cache lock is never contended inside the hot loop. *)
@@ -448,7 +439,7 @@ let rescale t =
       for i = 0 to n - 1 do
         (* Centered lift of the top residue gives round-to-nearest
            rather than floor division. *)
-        let c = Modarith.centered top.(i) ~modulus:q_top in
+        let c = Modarith.center top.(i) ~half q_top in
         let d = Modarith.sub x.(i) (Modarith.reduce c ~modulus:q) ~modulus:q in
         Array.unsafe_set out i (Modarith.mul d inv ~modulus:q)
       done);
@@ -485,8 +476,7 @@ let rescale_in_eval t =
           let x = t.data.(k) in
           let row = data.(k) in
           for i = 0 to n - 1 do
-            let v = Array.unsafe_get top i in
-            let c = if v > half then v - q_top else v in
+            let c = Modarith.center (Array.unsafe_get top i) ~half q_top in
             Array.unsafe_set row i (Ntt.reduce_scalar plan c)
           done;
           Ntt.forward plan row;

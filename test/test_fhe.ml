@@ -188,6 +188,47 @@ let test_rotate () =
       check_close ~eps:1e-2 (Printf.sprintf "rotate %d" k) expect got)
     [ 1; 2; 5 ]
 
+(* An Eval input reads its diagonal digits in place (key_switch) or
+   copies them (the hoisted decomposition) instead of transforming the
+   coefficient row again; both must give exactly what a Coeff input
+   gives, at the top level and one level down. *)
+let test_key_switch_eval_equals_coeff () =
+  let ctx = Lazy.force test_ctx and keys = Lazy.force test_keys in
+  let crt = Context.crt ctx in
+  let rng = Rng.create 77 in
+  List.iter
+    (fun level ->
+      let idx = Context.ciphertext_idx ctx ~level in
+      let d = Ace_rns.Rns_poly.sample_uniform crt ~chain_idx:idx rng in
+      let dc = Ace_rns.Rns_poly.to_coeff d in
+      let e0, e1 = Eval.key_switch ctx keys.Keys.relin d in
+      let c0, c1 = Eval.key_switch ctx keys.Keys.relin dc in
+      let same what a b =
+        Alcotest.(check bool) (Printf.sprintf "%s level %d" what level) true
+          (Ace_rns.Rns_poly.equal a b)
+      in
+      same "c0" e0 c0;
+      same "c1" e1 c1;
+      let pt =
+        Encoder.encode ctx ~level ~scale:(Context.scale ctx)
+          (random_msg rng (Context.slots ctx))
+      in
+      let ct = Eval.encrypt keys ~rng pt in
+      let c1_coeff = Ace_rns.Rns_poly.to_coeff ct.Ciphertext.polys.(1) in
+      let ct_coeff = { ct with Ciphertext.polys = [| ct.Ciphertext.polys.(0); c1_coeff |] } in
+      let steps = [| 1; 3 |] in
+      let from_eval = Eval.rotate_batch keys ct steps in
+      let from_coeff = Eval.rotate_batch keys ct_coeff steps in
+      Array.iteri
+        (fun k r ->
+          Array.iteri
+            (fun j p ->
+              same (Printf.sprintf "hoisted step %d poly %d" steps.(k) j) p
+                from_coeff.(k).Ciphertext.polys.(j))
+            r.Ciphertext.polys)
+        from_eval)
+    [ Context.max_level ctx; Context.max_level ctx - 1 ]
+
 let test_rotate_negative () =
   let ctx = Lazy.force test_ctx in
   let n = Context.slots ctx in
@@ -333,6 +374,8 @@ let () =
           Alcotest.test_case "full-depth squaring" `Quick test_mul_depth_chain;
           Alcotest.test_case "rotate" `Quick test_rotate;
           Alcotest.test_case "rotate negative" `Quick test_rotate_negative;
+          Alcotest.test_case "key switch: Eval input = Coeff input" `Quick
+            test_key_switch_eval_equals_coeff;
           Alcotest.test_case "conjugate" `Quick test_conjugate;
           Alcotest.test_case "mod switch" `Quick test_mod_switch;
           Alcotest.test_case "upscale" `Quick test_upscale;

@@ -198,6 +198,172 @@ let test_reduce_scalar () =
       Alcotest.(check int) (string_of_int v) naive got)
     [ 0; 1; -1; q; -q; q - 1; (q - 1) * (q - 1); -((q - 1) * (q - 1)); max_int; min_int + 1 ]
 
+(* The definitions the branch-free Modarith helpers replaced, kept here
+   as the reference they must match. *)
+let old_add a b ~modulus =
+  let s = a + b in
+  if s >= modulus then s - modulus else s
+
+let old_sub a b ~modulus =
+  let d = a - b in
+  if d < 0 then d + modulus else d
+
+let old_neg a ~modulus = if a = 0 then 0 else modulus - a
+let old_centered a ~modulus = if a > modulus / 2 then a - modulus else a
+
+(* Every argument shape callers pass: canonical residues (0, 1, q/2,
+   q/2+1, q-1), sums in [0, 2q) for add, differences in [-q, q) for sub,
+   and values straddling the centering point. [neg] and [centered] match
+   the old definitions on every int, so they also see out-of-range and
+   negative inputs. *)
+let test_modarith_branch_free () =
+  let r = Rng.create 7 in
+  List.iter
+    (fun q ->
+      let edge = [ 0; 1; q / 2; (q / 2) + 1; q - 1 ] in
+      let rand = List.init 200 (fun _ -> Rng.int r q) in
+      let canon = edge @ rand in
+      let check what want got =
+        if want <> got then Alcotest.failf "q=%d %s: expected %d, got %d" q what want got
+      in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              check (Printf.sprintf "add %d %d" a b) (old_add a b ~modulus:q)
+                (Modarith.add a b ~modulus:q);
+              check (Printf.sprintf "sub %d %d" a b) (old_sub a b ~modulus:q)
+                (Modarith.sub a b ~modulus:q))
+            edge;
+          (* an unreduced sum in [0, 2q) folded with 0 *)
+          check (Printf.sprintf "add (%d+%d) 0" a (q - 1)) (old_add (a + q - 1) 0 ~modulus:q)
+            (Modarith.add (a + q - 1) 0 ~modulus:q))
+        canon;
+      List.iter
+        (fun a ->
+          check (Printf.sprintf "neg %d" a) (old_neg a ~modulus:q) (Modarith.neg a ~modulus:q);
+          check (Printf.sprintf "centered %d" a) (old_centered a ~modulus:q)
+            (Modarith.centered a ~modulus:q);
+          check (Printf.sprintf "center %d" a) (old_centered a ~modulus:q)
+            (Modarith.center a ~half:(q / 2) q);
+          check (Printf.sprintf "reduce %d" a) (((a mod q) + q) mod q) (Modarith.reduce a ~modulus:q))
+        (canon @ [ q; q + 1; 2 * q - 1; -1; -q; -(q - 1); 3 * q; max_int / 2; -(max_int / 2) ]))
+    [ 3; 97; 1 lsl 26 + 1; (1 lsl 29) - 3; (1 lsl 30) - 35; (1 lsl 31) - 1 ]
+
+(* The exact (non-lazy) butterfly path serves every modulus above 2^29,
+   the 30-bit special prime included. *)
+let test_ntt_exact_path () =
+  List.iter
+    (fun bits ->
+      List.iter
+        (fun n ->
+          let q = Primes.ntt_prime_near ~bits ~ring_degree:n ~below:(1 lsl bits) in
+          Alcotest.(check bool) "exact path" true (q > 1 lsl 29);
+          let plan = Ntt.make ~modulus:q ~ring_degree:n in
+          let r = Rng.create (300 + n + bits) in
+          let a = Array.init n (fun _ -> Rng.int r q) in
+          let b = Array.init n (fun _ -> Rng.int r q) in
+          a.(0) <- q - 1;
+          b.(n - 1) <- q - 1;
+          let c = Array.copy a in
+          Ntt.forward plan c;
+          Ntt.inverse plan c;
+          Alcotest.(check bool) (Printf.sprintf "roundtrip bits=%d n=%d" bits n) true (a = c);
+          Alcotest.(check bool)
+            (Printf.sprintf "negacyclic bits=%d n=%d" bits n)
+            true
+            (Ntt.negacyclic_convolution plan a b = negacyclic_ref q a b))
+        [ 8; 64; 1024 ])
+    [ 30; 31 ]
+
+(* Every prime of the resnet20 execution context, at its ring degree. *)
+let test_ntt_roundtrip_resnet20_context () =
+  let ctx = Ace_ckks_ir.Param_select.execution_context ~depth:12 ~slots:1024 () in
+  let crt = Ace_fhe.Context.crt ctx in
+  Alcotest.(check int) "ring degree" 2048 (Crt.ring_degree crt);
+  let r = Rng.create 11 in
+  for i = 0 to Crt.num_moduli crt - 1 do
+    let plan = Crt.plan crt i in
+    let q = Ntt.modulus plan in
+    let a = Array.init 2048 (fun _ -> Rng.int r q) in
+    a.(1) <- q - 1;
+    let c = Array.copy a in
+    Ntt.forward plan c;
+    Alcotest.(check bool) (Printf.sprintf "canonical q=%d" q) true
+      (Array.for_all (fun v -> v >= 0 && v < q) c);
+    Ntt.inverse plan c;
+    Alcotest.(check bool) (Printf.sprintf "roundtrip q=%d" q) true (a = c)
+  done
+
+(* Shoup multiply-accumulate, plain and gathered, against Bignum, with
+   q-1 in every operand (accumulator included) at the head of the row. *)
+let test_mul_acc_shoup_vs_bignum () =
+  let r = Rng.create 103 in
+  let n = 64 in
+  List.iter
+    (fun bits ->
+      let q = Primes.ntt_prime_near ~bits ~ring_degree:n ~below:(1 lsl bits) in
+      let plan = Ntt.make ~modulus:q ~ring_degree:n in
+      let row () =
+        let v = Array.init n (fun _ -> Rng.int r q) in
+        v.(0) <- q - 1;
+        v.(1) <- q - 1;
+        v.(2) <- 0;
+        v
+      in
+      let a = row () and b = row () and dst = row () in
+      b.(1) <- 1;
+      let b' = Ntt.precompute_shoup plan b in
+      let perm = Array.init n (fun i -> (i * 5) mod n) in
+      let expect x i =
+        Bignum.mod_int (Bignum.add_int (Bignum.mul_int (Bignum.of_int x) b.(i)) dst.(i)) q
+      in
+      let plain = Array.copy dst in
+      Ntt.pointwise_mul_acc_shoup plan plain a b b';
+      let gathered = Array.copy dst in
+      Ntt.pointwise_mul_acc_gather_shoup plan gathered a perm b b';
+      for i = 0 to n - 1 do
+        if plain.(i) <> expect a.(i) i then
+          Alcotest.failf "bits=%d shoup i=%d: expected %d, got %d" bits i (expect a.(i) i)
+            plain.(i);
+        if gathered.(i) <> expect a.(perm.(i)) i then
+          Alcotest.failf "bits=%d gather i=%d: expected %d, got %d" bits i
+            (expect a.(perm.(i)) i) gathered.(i)
+      done)
+    [ 26; 29; 30; 31 ]
+
+(* Barrett's error bound is per width: one correction below 30 bits,
+   two from 30. The remainder estimate is loosest for operands near q-1
+   and for primes well inside their width (mu's truncation is tiny for
+   primes just below 2^k), so each width is driven with its top prime and
+   a prime near 3/4 of its range; the 30-bit triple is a found case
+   whose uncorrected remainder is 2.03q. *)
+let test_barrett_every_width () =
+  let r = Rng.create 109 in
+  let check plan a b =
+    let q = Ntt.modulus plan in
+    let dst = Array.make 2 0 in
+    Ntt.pointwise_mul plan dst a b;
+    for i = 0 to 1 do
+      if dst.(i) <> a.(i) * b.(i) mod q then
+        Alcotest.failf "%d * %d mod %d: expected %d, got %d" a.(i) b.(i) q (a.(i) * b.(i) mod q)
+          dst.(i)
+    done
+  in
+  for bits = 4 to 31 do
+    List.iter
+      (fun below ->
+        let q = Primes.ntt_prime_near ~bits ~ring_degree:2 ~below in
+        let plan = Ntt.make ~modulus:q ~ring_degree:2 in
+        for _ = 1 to 2000 do
+          let near () = q - 1 - Rng.int r (min q 4096) in
+          check plan [| near (); Rng.int r q |] [| near (); near () |]
+        done)
+      [ 1 lsl bits; 3 lsl (bits - 2) ]
+  done;
+  let plan = Ntt.make ~modulus:1069546409 ~ring_degree:2 in
+  check plan [| 1069538611; 0 |] [| 1069542135; 0 |]
+
 let test_crt_recombine () =
   let ctx = small_ctx () in
   let limbs = Crt.num_moduli ctx in
@@ -393,6 +559,7 @@ let () =
       ( "modarith",
         [
           Alcotest.test_case "basics" `Quick test_modarith_basic;
+          Alcotest.test_case "branch-free = branchy" `Quick test_modarith_branch_free;
           QCheck_alcotest.to_alcotest prop_modinv;
         ] );
       ( "primes",
@@ -412,6 +579,11 @@ let () =
           Alcotest.test_case "barrett widths vs bignum" `Quick test_barrett_pointwise_mul_widths;
           Alcotest.test_case "barrett multiply-accumulate" `Quick test_barrett_pointwise_mul_acc;
           Alcotest.test_case "reduce scalar" `Quick test_reduce_scalar;
+          Alcotest.test_case "exact path 30/31 bits" `Quick test_ntt_exact_path;
+          Alcotest.test_case "roundtrip resnet20 context" `Quick
+            test_ntt_roundtrip_resnet20_context;
+          Alcotest.test_case "shoup mul-acc vs bignum" `Quick test_mul_acc_shoup_vs_bignum;
+          Alcotest.test_case "barrett every width" `Quick test_barrett_every_width;
         ] );
       ( "crt",
         [
